@@ -188,13 +188,24 @@ ActivityJournal::rebase(std::uint32_t delta)
 
 namespace {
 
+/** Serialized run: from u32, kind u8, duty_one f64. */
+constexpr std::size_t kRunBytes = 4 + 1 + 8;
+/** Arena node record: its run, then the u32 chain link. */
+constexpr std::size_t kNodeBytes = kRunBytes + 4;
+/** Occupied-slot record: u64 index, u64 key, u32 count/head/tail, two
+ *  inline runs. */
+constexpr std::size_t kSlotBytes = 8 + 8 + 3 * 4 + 2 * kRunBytes;
+/** Table size, used, active, memoised min, arena size, and the
+ *  occupied-slot count that precedes the slot records. */
+constexpr std::size_t kGeometryBytes = 8 + 8 + 8 + 4 + 8 + 8;
+
 void
-saveRun(util::SnapshotWriter &writer,
+saveRun(util::SnapshotSpan &out,
         std::uint32_t from, Activity kind, double duty_one)
 {
-    writer.u32(from);
-    writer.u8(static_cast<std::uint8_t>(kind));
-    writer.f64(duty_one);
+    out.u32(from);
+    out.u8(static_cast<std::uint8_t>(kind));
+    out.f64(duty_one);
 }
 
 } // namespace
@@ -202,34 +213,41 @@ saveRun(util::SnapshotWriter &writer,
 void
 ActivityJournal::saveState(util::SnapshotWriter &writer) const
 {
-    writer.u64(slots_.size());
-    writer.u64(used_);
-    writer.u64(active_);
-    writer.u32(cached_min_);
-    writer.u64(arena_.size());
+    // Slots are never emptied (consume() leaves a spent marker), so
+    // used_ is exactly the number of occupied slots: the section's size
+    // is known before the one scan of the probe table.
+    util::SnapshotSpan out = writer.span(
+        kGeometryBytes + arena_.size() * kNodeBytes + used_ * kSlotBytes);
+    out.u64(slots_.size());
+    out.u64(used_);
+    out.u64(active_);
+    out.u32(cached_min_);
+    out.u64(arena_.size());
     for (const Node &node : arena_) {
-        saveRun(writer, node.run.from, node.run.kind, node.run.duty_one);
-        writer.u32(node.next);
+        saveRun(out, node.run.from, node.run.kind, node.run.duty_one);
+        out.u32(node.next);
     }
-    std::uint64_t occupied = 0;
-    for (const Slot &slot : slots_) {
-        occupied += slot.count != 0 ? 1 : 0;
-    }
-    writer.u64(occupied);
+    out.u64(used_);
+    std::size_t written = 0;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         const Slot &slot = slots_[i];
         if (slot.count == 0) {
             continue;
         }
-        writer.u64(i);
-        writer.u64(slot.key);
-        writer.u32(slot.count);
-        writer.u32(slot.head);
-        writer.u32(slot.tail);
-        saveRun(writer, slot.runs[0].from, slot.runs[0].kind,
+        out.u64(i);
+        out.u64(slot.key);
+        out.u32(slot.count);
+        out.u32(slot.head);
+        out.u32(slot.tail);
+        saveRun(out, slot.runs[0].from, slot.runs[0].kind,
                 slot.runs[0].duty_one);
-        saveRun(writer, slot.runs[1].from, slot.runs[1].kind,
+        saveRun(out, slot.runs[1].from, slot.runs[1].kind,
                 slot.runs[1].duty_one);
+        ++written;
+    }
+    if (written != used_) {
+        util::panic("ActivityJournal::saveState: occupied slots disagree "
+                    "with the used count");
     }
 }
 
@@ -288,8 +306,11 @@ ActivityJournal::restoreState(util::SnapshotReader &reader)
             next});
     }
     const std::uint64_t occupied = reader.u64();
-    if (reader.ok() && occupied > table_size) {
-        reader.fail("snapshot: journal occupancy exceeds table size");
+    if (reader.ok() && occupied != used) {
+        // saveState sizes its section from the used count, so a
+        // restored journal must keep the two equal.
+        reader.fail("snapshot: journal occupancy disagrees with its "
+                    "used count");
     }
     if (!reader.ok()) {
         return false;

@@ -872,6 +872,27 @@ Device::applyServiceWear(double hours, double duty_one)
     ++state_epoch_;
 }
 
+namespace {
+
+/** Config fingerprint after the family string: seed, service age, the
+ *  three geometry u32s, the eager flag, two retention knobs. */
+constexpr std::size_t kFingerprintBytes = 8 + 8 + 3 * 4 + 1 + 2 * 8;
+/** Elapsed-hours sum pair, epoch, three cursors, compaction watermark,
+ *  design-loaded flag. */
+constexpr std::size_t kClockBytes = 2 * 8 + 5 * 8 + 1;
+/** Closed timeline segment: duration, stress and recovery accel. */
+constexpr std::size_t kSegmentBytes = 3 * 8;
+/** Open segment: valid flag, context pair, raw hour sum pair. */
+constexpr std::size_t kOpenSegmentBytes = 1 + 4 * 8;
+/** Element: key, two base delays, scale, NMOS and PMOS stress/recovery
+ *  hours, live activity kind and duty, synced position. */
+constexpr std::size_t kElementBytes = 8 + 7 * 8 + 1 + 8 + 4;
+/** BRAM block: key, state, content, written-at, off-power and
+ *  retention-limit hours. */
+constexpr std::size_t kBramBlockBytes = 8 + 1 + 8 + 3 * 8;
+
+} // namespace
+
 void
 Device::saveState(util::SnapshotWriter &writer) const
 {
@@ -880,65 +901,69 @@ Device::saveState(util::SnapshotWriter &writer) const
     // (seed, id), so a seed skew would graft one board's aging onto
     // another board's delays and quietly invalidate every number.
     writer.str(config_.family);
-    writer.u64(config_.seed);
-    writer.f64(config_.service_age_h);
-    writer.u32(config_.tiles_x);
-    writer.u32(config_.tiles_y);
-    writer.u32(config_.nodes_per_tile);
-    writer.u8(config_.eager_materialisation ? 1 : 0);
+    util::SnapshotSpan head = writer.span(kFingerprintBytes + kClockBytes);
+    head.u64(config_.seed);
+    head.f64(config_.service_age_h);
+    head.u32(config_.tiles_x);
+    head.u32(config_.tiles_y);
+    head.u32(config_.nodes_per_tile);
+    head.u8(config_.eager_materialisation ? 1 : 0);
     // Retention identity: the per-block limits are pure draws from
     // (seed, median, sigma), so a knob skew would graft one board's
     // decay behaviour onto another's contents.
-    writer.f64(config_.bram_retention_median_h);
-    writer.f64(config_.bram_retention_sigma);
+    head.f64(config_.bram_retention_median_h);
+    head.f64(config_.bram_retention_sigma);
 
-    writer.f64(elapsed_h_.rawSum());
-    writer.f64(elapsed_h_.rawCompensation());
-    writer.u64(state_epoch_);
-    writer.u64(alloc_cursor_);
-    writer.u64(carry_cursor_);
-    writer.u64(lut_cursor_);
-    writer.u64(compact_watermark_);
-    writer.u8(design_ != nullptr ? 1 : 0);
+    head.f64(elapsed_h_.rawSum());
+    head.f64(elapsed_h_.rawCompensation());
+    head.u64(state_epoch_);
+    head.u64(alloc_cursor_);
+    head.u64(carry_cursor_);
+    head.u64(lut_cursor_);
+    head.u64(compact_watermark_);
+    head.u8(design_ != nullptr ? 1 : 0);
 
     // Timeline, including the still-open segment's raw accumulator —
     // closing it here would move a flip boundary the live run has not
     // produced yet.
     const auto &closed = timeline_.closed();
-    writer.u64(closed.size());
+    util::SnapshotSpan timeline = writer.span(
+        8 + closed.size() * kSegmentBytes + kOpenSegmentBytes);
+    timeline.u64(closed.size());
     for (const AgingSegment &seg : closed) {
-        writer.f64(seg.duration_h);
-        writer.f64(seg.ctx.stress_accel);
-        writer.f64(seg.ctx.recovery_accel);
+        timeline.f64(seg.duration_h);
+        timeline.f64(seg.ctx.stress_accel);
+        timeline.f64(seg.ctx.recovery_accel);
     }
-    writer.u8(timeline_.openValid() ? 1 : 0);
-    writer.f64(timeline_.openContext().stress_accel);
-    writer.f64(timeline_.openContext().recovery_accel);
-    writer.f64(timeline_.openHours().rawSum());
-    writer.f64(timeline_.openHours().rawCompensation());
+    timeline.u8(timeline_.openValid() ? 1 : 0);
+    timeline.f64(timeline_.openContext().stress_accel);
+    timeline.f64(timeline_.openContext().recovery_accel);
+    timeline.f64(timeline_.openHours().rawSum());
+    timeline.f64(timeline_.openHours().rawCompensation());
 
     // Elements in handle (slab) order, so the handle-indexed live_/
     // synced_ arrays and every restored handle stay aligned.
     const std::size_t count = store_.size();
-    writer.u64(count);
+    util::SnapshotSpan elements = writer.span(8 + count * kElementBytes);
+    elements.u64(count);
     for (std::size_t i = 0; i < count; ++i) {
         const auto h = static_cast<ElementHandle>(i);
         const RoutingElement &elem = store_.sweepAt(h);
-        writer.u64(elem.id().key());
-        writer.f64(elem.basePs(phys::Transition::Rising));
-        writer.f64(elem.basePs(phys::Transition::Falling));
-        writer.f64(elem.aging().scale());
+        elements.u64(elem.id().key());
+        elements.f64(elem.basePs(phys::Transition::Rising));
+        elements.f64(elem.basePs(phys::Transition::Falling));
+        elements.f64(elem.aging().scale());
         const phys::BtiState &nmos =
             elem.aging().state(phys::TransistorType::Nmos);
         const phys::BtiState &pmos =
             elem.aging().state(phys::TransistorType::Pmos);
-        writer.f64(nmos.stressHours());
-        writer.f64(nmos.recoveryHours());
-        writer.f64(pmos.stressHours());
-        writer.f64(pmos.recoveryHours());
-        writer.u8(static_cast<std::uint8_t>(live_[i].kind));
-        writer.f64(live_[i].duty_one);
-        writer.u32(synced_[i]);
+        elements.f64(nmos.stressHours());
+        elements.f64(nmos.recoveryHours());
+        elements.f64(pmos.stressHours());
+        elements.f64(pmos.recoveryHours());
+        elements.u8(static_cast<std::uint8_t>(live_[i].kind));
+        elements.f64(live_[i].duty_one);
+        elements.u32(synced_[i]);
     }
 
     journal_.saveState(writer);
@@ -951,18 +976,20 @@ Device::saveState(util::SnapshotWriter &writer) const
     // configuration tracking travels too, so the resume re-load of
     // the resident design recognises itself and stays BRAM-neutral.
     writer.str(bram_applied_design_);
-    writer.u64(bram_applied_revision_);
     const std::size_t bram_count = bram_.size();
-    writer.u64(bram_count);
+    util::SnapshotSpan bram =
+        writer.span(8 + 8 + bram_count * kBramBlockBytes);
+    bram.u64(bram_applied_revision_);
+    bram.u64(bram_count);
     for (std::size_t i = 0; i < bram_count; ++i) {
         const BramBlock &block =
             bram_.sweepAt(static_cast<ElementHandle>(i));
-        writer.u64(block.id_.key());
-        writer.u8(static_cast<std::uint8_t>(block.state));
-        writer.u64(block.content);
-        writer.f64(block.written_at_h);
-        writer.f64(block.off_power_h);
-        writer.f64(block.retention_limit_h);
+        bram.u64(block.id_.key());
+        bram.u8(static_cast<std::uint8_t>(block.state));
+        bram.u64(block.content);
+        bram.f64(block.written_at_h);
+        bram.f64(block.off_power_h);
+        bram.f64(block.retention_limit_h);
     }
 }
 

@@ -4,7 +4,13 @@
 #include <cstdio>
 #include <cstring>
 
+#include <sys/stat.h>
 #include <unistd.h>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <nmmintrin.h>
+#endif
 
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -21,23 +27,121 @@ constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kChunkHeaderBytes = 16;
 constexpr std::uint32_t kEndTag = snapshotTag('E', 'N', 'D', '!');
 
-/** Software CRC32C table (Castagnoli polynomial, reflected). */
-struct Crc32cTable
-{
-    std::uint32_t entries[256];
+constexpr std::uint32_t kCastagnoliReflected = 0x82f63b78u;
 
-    Crc32cTable()
+/**
+ * Slicing-by-8 tables for the reflected Castagnoli polynomial. Row 0
+ * is the classic bytewise table; row k advances a byte through k more
+ * zero bytes, so eight table lookups retire one 8-byte word.
+ */
+struct Crc32cTables
+{
+    std::uint32_t rows[8][256] = {};
+
+    constexpr Crc32cTables()
     {
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t crc = i;
             for (int bit = 0; bit < 8; ++bit) {
-                crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82f63b78u
+                crc = (crc & 1u) != 0 ? (crc >> 1) ^ kCastagnoliReflected
                                       : crc >> 1;
             }
-            entries[i] = crc;
+            rows[0][i] = crc;
+        }
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            for (int k = 1; k < 8; ++k) {
+                const std::uint32_t prev = rows[k - 1][i];
+                rows[k][i] = (prev >> 8) ^ rows[0][prev & 0xffu];
+            }
         }
     }
 };
+
+constexpr Crc32cTables kCrcTables;
+
+/** Little-endian 32-bit load, independent of host byte order. */
+std::uint32_t
+loadLe32(const unsigned char *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/** Raw (un-inverted) portable update: slicing-by-8, bytewise tail. */
+std::uint32_t
+crc32cSliced(const unsigned char *p, std::size_t len, std::uint32_t crc)
+{
+    const auto &t = kCrcTables.rows;
+    for (; len >= 8; p += 8, len -= 8) {
+        const std::uint32_t lo = loadLe32(p) ^ crc;
+        const std::uint32_t hi = loadLe32(p + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len) {
+        crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
+    }
+    return crc;
+}
+
+#if defined(__x86_64__)
+
+/**
+ * Raw update with the SSE4.2 crc32 instruction (same polynomial). Only
+ * reached after a runtime CPU check, so the rest of the library keeps
+ * the baseline ISA.
+ */
+__attribute__((target("sse4.2"))) std::uint32_t
+crc32cSse42(const unsigned char *p, std::size_t len, std::uint32_t crc)
+{
+    for (; len > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7u) != 0;
+         ++p, --len) {
+        crc = _mm_crc32_u8(crc, *p);
+    }
+    std::uint64_t wide = crc;
+    for (; len >= 8; p += 8, len -= 8) {
+        std::uint64_t word;
+        std::memcpy(&word, p, sizeof(word));
+        wide = _mm_crc32_u64(wide, word);
+    }
+    crc = static_cast<std::uint32_t>(wide);
+    for (; len > 0; ++p, --len) {
+        crc = _mm_crc32_u8(crc, *p);
+    }
+    return crc;
+}
+
+#endif
+
+using Crc32cUpdate = std::uint32_t (*)(const unsigned char *, std::size_t,
+                                       std::uint32_t);
+
+/** The fastest raw update this CPU runs, chosen on first use. */
+Crc32cUpdate
+crc32cUpdate()
+{
+    // A direct CPUID query rather than __builtin_cpu_supports: the
+    // latter links libgcc's CPU-model constructor, which then runs
+    // its CPUID sweep at the start of every process.
+    static const Crc32cUpdate update = [] {
+#if defined(__x86_64__)
+        unsigned eax = 0;
+        unsigned ebx = 0;
+        unsigned ecx = 0;
+        unsigned edx = 0;
+        if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 &&
+            (ecx & bit_SSE4_2) != 0) {
+            return crc32cSse42;
+        }
+#endif
+        return crc32cSliced;
+    }();
+    return update;
+}
 
 std::string
 errnoMessage(const std::string &what, const std::string &path)
@@ -50,13 +154,15 @@ errnoMessage(const std::string &what, const std::string &path)
 std::uint32_t
 crc32c(const void *data, std::size_t len, std::uint32_t seed)
 {
-    static const Crc32cTable table;
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    std::uint32_t crc = ~seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        crc = table.entries[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
-    }
-    return ~crc;
+    return ~crc32cUpdate()(static_cast<const unsigned char *>(data), len,
+                           ~seed);
+}
+
+std::uint32_t
+crc32cPortable(const void *data, std::size_t len, std::uint32_t seed)
+{
+    return ~crc32cSliced(static_cast<const unsigned char *>(data), len,
+                         ~seed);
 }
 
 SnapshotWriter::SnapshotWriter()
@@ -134,6 +240,22 @@ SnapshotWriter::str(std::string_view v)
     u64(v.size());
     const auto *bytes = reinterpret_cast<const std::uint8_t *>(v.data());
     out_.insert(out_.end(), bytes, bytes + v.size());
+}
+
+void
+SnapshotWriter::reserve(std::size_t bytes)
+{
+    if (out_.capacity() - out_.size() < bytes) {
+        out_.reserve(out_.size() + bytes);
+    }
+}
+
+SnapshotSpan
+SnapshotWriter::span(std::size_t len)
+{
+    const std::size_t at = out_.size();
+    out_.resize(at + len);
+    return SnapshotSpan(out_.data() + at, len);
 }
 
 const std::vector<std::uint8_t> &
@@ -253,12 +375,16 @@ SnapshotReader::open(const std::string &path)
     if (fp == nullptr) {
         return unexpected(errnoMessage("snapshot: cannot open", path));
     }
+    // Size the image from the file length and read it in one call.
+    // Commits publish by rename, so a snapshot never grows while open.
     std::vector<std::uint8_t> image;
-    unsigned char buf[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), fp)) > 0) {
-        image.insert(image.end(), buf, buf + got);
+    struct stat st;
+    if (fstat(fileno(fp), &st) == 0 && st.st_size > 0) {
+        image.resize(static_cast<std::size_t>(st.st_size));
     }
+    const std::size_t got =
+        image.empty() ? 0 : std::fread(image.data(), 1, image.size(), fp);
+    image.resize(got);
     const bool read_error = std::ferror(fp) != 0;
     std::fclose(fp);
     if (read_error) {

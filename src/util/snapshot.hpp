@@ -30,11 +30,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/expected.hpp"
+#include "util/logging.hpp"
 
 namespace pentimento::util {
 
@@ -51,9 +53,59 @@ snapshotTag(char a, char b, char c, char d)
            static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
 
-/** CRC32C (Castagnoli) of a byte range, chainable via seed. */
+/**
+ * CRC32C (Castagnoli) of a byte range, chainable via seed:
+ * crc32c(b, n, crc32c(a, m)) is the CRC of a followed by b. Runs the
+ * SSE4.2 crc32 instruction when the CPU has it (checked once at run
+ * time) and the portable slicing-by-8 code otherwise; both compute the
+ * same function.
+ */
 std::uint32_t crc32c(const void *data, std::size_t len,
                      std::uint32_t seed = 0);
+
+/** The portable slicing-by-8 CRC32C, whatever the CPU supports. */
+std::uint32_t crc32cPortable(const void *data, std::size_t len,
+                             std::uint32_t seed = 0);
+
+/**
+ * Write cursor over bytes already appended to a SnapshotWriter (see
+ * SnapshotWriter::span). Each field is one fixed-size store, in the
+ * same byte layout the writer's primitives produce, so a serializer
+ * can emit whole fixed-layout records without a vector append per
+ * field. A field that would run past the appended bytes panics before
+ * it is stored.
+ */
+class SnapshotSpan
+{
+  public:
+    void u8(std::uint8_t v) { put(v); }
+    void u32(std::uint32_t v) { put(v); }
+    void u64(std::uint64_t v) { put(v); }
+    /** Bit-cast like SnapshotWriter::f64. */
+    void f64(double v) { put(v); }
+
+  private:
+    friend class SnapshotWriter;
+
+    SnapshotSpan(std::uint8_t *at, std::size_t len)
+        : at_(at), end_(at + len)
+    {
+    }
+
+    template <typename T>
+    void
+    put(T v)
+    {
+        if (static_cast<std::size_t>(end_ - at_) < sizeof(v)) {
+            panic("SnapshotSpan: record overruns its reserved bytes");
+        }
+        std::memcpy(at_, &v, sizeof(v));
+        at_ += sizeof(v);
+    }
+
+    std::uint8_t *at_;
+    std::uint8_t *end_;
+};
 
 /**
  * Builds a snapshot image in memory and commits it atomically.
@@ -61,6 +113,9 @@ std::uint32_t crc32c(const void *data, std::size_t len,
  * Usage: beginChunk(tag), write primitives, endChunk(), repeat; then
  * either commit()/commitRotating() to persist, or finish() to get the
  * complete image for in-memory round trips (tests, microbenches).
+ *
+ * Serializers write their fixed-layout records through span(), so a
+ * multi-megabyte image is not appended to one field at a time.
  */
 class SnapshotWriter
 {
@@ -79,6 +134,20 @@ class SnapshotWriter
     void f64(double v);
     /** Length-prefixed byte string. */
     void str(std::string_view v);
+
+    /**
+     * Make room for `bytes` more bytes. Missing capacity is added
+     * exactly, not doubled, so a caller that knows roughly how big the
+     * image will be allocates it once.
+     */
+    void reserve(std::size_t bytes);
+
+    /**
+     * Append `len` bytes and return a cursor the caller fills with
+     * exactly `len` bytes of fields. The cursor is invalidated by the
+     * next write to this writer.
+     */
+    SnapshotSpan span(std::size_t len);
 
     /**
      * Append the terminal END chunk and return the finished image.
@@ -150,6 +219,9 @@ class SnapshotReader
     std::uint64_t u64();
     double f64();
     std::string str();
+
+    /** Size of the whole image, file header included. */
+    std::size_t imageBytes() const { return image_.size(); }
 
     /** Record a (first) error; subsequent reads return zeroes. */
     void fail(std::string message);

@@ -29,11 +29,14 @@
 
 #include "cloud/platform.hpp"
 #include "core/presets.hpp"
+#include "fabric/activity_journal.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "fabric/route.hpp"
+#include "serve/campaign.hpp"
 #include "util/expected.hpp"
 #include "util/fault.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
 
@@ -163,6 +166,97 @@ readMarker(pu::SnapshotReader &reader)
 }
 
 } // namespace
+
+// ------------------------------------------------------------ CRC32C
+
+namespace {
+
+/** Bit-at-a-time CRC32C: the slowest, most obviously correct oracle. */
+std::uint32_t
+crc32cBitwise(const std::uint8_t *data, std::size_t len)
+{
+    std::uint32_t crc = ~0u;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit) {
+            crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+        }
+    }
+    return ~crc;
+}
+
+} // namespace
+
+TEST(SnapshotCrc32c, KnownAnswers)
+{
+    // RFC 3720 appendix B.4 (iSCSI) test vectors.
+    std::uint8_t buf[32];
+    std::memset(buf, 0x00, sizeof(buf));
+    EXPECT_EQ(pu::crc32c(buf, sizeof(buf)), 0x8A9136AAu);
+    EXPECT_EQ(pu::crc32cPortable(buf, sizeof(buf)), 0x8A9136AAu);
+    std::memset(buf, 0xff, sizeof(buf));
+    EXPECT_EQ(pu::crc32c(buf, sizeof(buf)), 0x62A8AB43u);
+    EXPECT_EQ(pu::crc32cPortable(buf, sizeof(buf)), 0x62A8AB43u);
+    for (std::size_t i = 0; i < sizeof(buf); ++i) {
+        buf[i] = static_cast<std::uint8_t>(i);
+    }
+    EXPECT_EQ(pu::crc32c(buf, sizeof(buf)), 0x46DD794Eu);
+    EXPECT_EQ(pu::crc32cPortable(buf, sizeof(buf)), 0x46DD794Eu);
+    for (std::size_t i = 0; i < sizeof(buf); ++i) {
+        buf[i] = static_cast<std::uint8_t>(31 - i);
+    }
+    EXPECT_EQ(pu::crc32c(buf, sizeof(buf)), 0x113FDB5Cu);
+    EXPECT_EQ(pu::crc32cPortable(buf, sizeof(buf)), 0x113FDB5Cu);
+    // The conventional check value.
+    EXPECT_EQ(pu::crc32c("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(pu::crc32cPortable("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(pu::crc32c(nullptr, 0), 0u);
+}
+
+TEST(SnapshotCrc32c, DispatchMatchesPortableAtEveryLengthAndAlignment)
+{
+    // Both implementations must agree with the bitwise oracle on every
+    // head/body/tail split of the word loops.
+    std::vector<std::uint8_t> pool(1024 + 16);
+    pu::Rng rng(20240311);
+    for (std::uint8_t &b : pool) {
+        b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    }
+    for (std::size_t align = 0; align < 16; ++align) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const std::uint8_t *p = pool.data() + align;
+            const std::uint32_t want = crc32cBitwise(p, len);
+            ASSERT_EQ(pu::crc32cPortable(p, len), want)
+                << "len " << len << " align " << align;
+            ASSERT_EQ(pu::crc32c(p, len), want)
+                << "len " << len << " align " << align;
+        }
+    }
+}
+
+TEST(SnapshotCrc32c, SeedChainsAcrossSplits)
+{
+    std::vector<std::uint8_t> data(777);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    const std::uint32_t whole = pu::crc32c(data.data(), data.size());
+    for (const std::size_t split : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{7}, std::size_t{8},
+                                    std::size_t{300}, data.size()}) {
+        const std::uint32_t head = pu::crc32c(data.data(), split);
+        EXPECT_EQ(pu::crc32c(data.data() + split, data.size() - split,
+                             head),
+                  whole)
+            << "split " << split;
+        const std::uint32_t head_portable =
+            pu::crc32cPortable(data.data(), split);
+        EXPECT_EQ(pu::crc32cPortable(data.data() + split,
+                                     data.size() - split, head_portable),
+                  whole)
+            << "split " << split;
+    }
+}
 
 // --------------------------------------------------- container format
 
@@ -443,6 +537,41 @@ TEST(SnapshotFormat, CrashBetweenTempWriteAndRenameIsHarmless)
         pu::SnapshotReader::openWithFallback(path, &used_fallback);
     EXPECT_FALSE(neither.ok());
     EXPECT_NE(neither.error().find("fallback"), std::string::npos);
+}
+
+// A field that would run past its span panics before it is stored, in
+// every build type, so a miscounted record section cannot write past
+// the bytes it appended.
+TEST(SnapshotFormat, SpanOverrunPanics)
+{
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kTag1);
+    pu::SnapshotSpan span = writer.span(12);
+    span.u64(1);
+    span.u32(2);
+    EXPECT_THROW(span.u8(3), pu::PanicError);
+}
+
+// open() checks only the header; a flipped payload byte must still be
+// caught by the per-chunk CRC when the chunk is entered.
+TEST(SnapshotFormat, OpenReaderStillChecksChunkCrc)
+{
+    const std::string path = tempPath("snap_flip.bin");
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+    std::vector<std::uint8_t> image = markerImage(0x1122334455667788ULL);
+    image[16 + 16] ^= 0x01; // first payload byte of chunk 0
+    writeRawFile(path, std::string(image.begin(), image.end()));
+
+    pu::Expected<pu::SnapshotReader> opened = pu::SnapshotReader::open(path);
+    ASSERT_TRUE(opened.ok()) << opened.error();
+    EXPECT_FALSE(opened.value().enterChunk(kTag1));
+    EXPECT_NE(opened.value().error().find("CRC mismatch"), std::string::npos)
+        << opened.value().error();
+
+    // The fallback chain rejects the same image up front.
+    EXPECT_FALSE(pu::SnapshotReader::openWithFallback(path).ok());
+    std::remove(path.c_str());
 }
 
 #if defined(PENTIMENTO_FAULT_INJECTION)
@@ -842,6 +971,45 @@ TEST(SnapshotDevice, AgingStoreRehashRoundTrip)
     }
 }
 
+// The journal's saveState sizes its slot section from the used count,
+// so a restored journal whose used count disagrees with its occupied
+// slots would write past that section on the next save. A CRC-valid
+// image carrying such a count must be rejected at restore.
+TEST(SnapshotDevice, JournalUsedCountMustMatchOccupiedSlots)
+{
+    pf::ActivityJournal journal;
+    journal.recordIfChanged(11, pf::ElementActivity{pf::Activity::Hold1}, 0);
+    journal.recordIfChanged(12, pf::ElementActivity{pf::Activity::Hold0}, 0);
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kTag1);
+    journal.saveState(writer);
+    writer.endChunk();
+    std::vector<std::uint8_t> image = writer.finish();
+
+    // The used count is the journal's second u64, after the table size.
+    const std::size_t used_at = 16 + 16 + 8;
+    std::uint64_t used = 0;
+    std::memcpy(&used, image.data() + used_at, sizeof(used));
+    ASSERT_EQ(used, 2u);
+    ++used;
+    std::memcpy(image.data() + used_at, &used, sizeof(used));
+    // Re-seal the chunk so only the journal's own checks can object.
+    const ChunkSpan chunk = chunkSpans(image).front();
+    const std::uint32_t crc =
+        pu::crc32c(image.data() + chunk.begin, chunk.end - 4 - chunk.begin);
+    std::memcpy(image.data() + chunk.end - 4, &crc, sizeof(crc));
+
+    pu::Expected<pu::SnapshotReader> made =
+        pu::SnapshotReader::fromBuffer(std::move(image));
+    ASSERT_TRUE(made.ok());
+    pu::SnapshotReader &reader = made.value();
+    ASSERT_TRUE(reader.enterChunk(kTag1)) << reader.error();
+    pf::ActivityJournal restored;
+    EXPECT_FALSE(restored.restoreState(reader));
+    EXPECT_NE(reader.error().find("occupancy"), std::string::npos)
+        << reader.error();
+}
+
 TEST(SnapshotDevice, SpillArenaRestoreThenLateKeyAndWear)
 {
     // Five activity changes on the same never-observed key push its
@@ -1128,4 +1296,81 @@ TEST(SnapshotPlatform, ConfigSkewAndCorruptionRejectedGracefully)
         pc::CloudPlatform target(smallRegion(3, 31));
         EXPECT_FALSE(restorePlatformImage(std::move(cut), target).ok());
     }
+}
+
+// ------------------------------------------- checkpoint image identity
+
+namespace {
+
+struct ImageStamp
+{
+    std::uint64_t size;
+    std::uint64_t fnv1a;
+};
+
+/**
+ * Size and 64-bit FNV-1a digest of the checkpoint file a small fleet
+ * scan leaves when it halts at day 14 (periodic checkpoints every 7
+ * days). Not the file's CRC32C: every chunk ends in its own CRC32C,
+ * and a CRC over a block followed by that block's CRC is the same for
+ * any content of the block, so a whole-file CRC32C would pin only the
+ * chunk lengths.
+ */
+ImageStamp
+haltedCheckpointStamp(const std::string &leaf, bool stress_and_bram)
+{
+    pu::setVerbosity(pu::Verbosity::Silent);
+    const std::string path = tempPath(leaf);
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+
+    pentimento::serve::FleetScanConfig config;
+    config.fleet = 6;
+    config.days = 30;
+    config.checkpoint_every_days = 7;
+    config.halt_at_day = 14;
+    config.checkpoint_path = path;
+    config.journal_stress = stress_and_bram;
+    config.bram_channel = stress_and_bram;
+    if (stress_and_bram) {
+        config.bram_scrub = pc::BramScrubPolicy::ZeroOnRelease;
+    }
+    const pu::Expected<pentimento::serve::FleetScanResult> halted =
+        pentimento::serve::runFleetScan(config);
+    EXPECT_TRUE(halted.ok()) << halted.error();
+
+    ImageStamp stamp{0, 0xcbf29ce484222325ULL};
+    if (std::FILE *fp = std::fopen(path.c_str(), "rb")) {
+        int c = 0;
+        while ((c = std::fgetc(fp)) != EOF) {
+            stamp.fnv1a = (stamp.fnv1a ^ static_cast<std::uint64_t>(c)) *
+                          0x100000001b3ULL;
+            ++stamp.size;
+        }
+        std::fclose(fp);
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+    return stamp;
+}
+
+} // namespace
+
+// The serializers write fixed-layout records straight into a pre-sized
+// buffer; these stamps (recorded from the field-at-a-time writer) lock
+// that the checkpoint bytes themselves never change.
+TEST(SnapshotImage, HaltedFleetCheckpointIsByteIdentical)
+{
+    const ImageStamp stamp =
+        haltedCheckpointStamp("snap_pin_plain.ckpt", false);
+    EXPECT_EQ(stamp.size, 286330u);
+    EXPECT_EQ(stamp.fnv1a, 0xdc0fdf859464b8faULL);
+}
+
+TEST(SnapshotImage, HaltedStressBramCheckpointIsByteIdentical)
+{
+    const ImageStamp stamp =
+        haltedCheckpointStamp("snap_pin_stress.ckpt", true);
+    EXPECT_EQ(stamp.size, 450570u);
+    EXPECT_EQ(stamp.fnv1a, 0xe8704322ab2d7e36ULL);
 }
