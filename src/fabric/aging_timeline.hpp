@@ -25,7 +25,9 @@
 #ifndef PENTIMENTO_FABRIC_AGING_TIMELINE_HPP
 #define PENTIMENTO_FABRIC_AGING_TIMELINE_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -143,16 +145,25 @@ class AgingTimeline
      * replay whole route/design cohorts whose elements share their
      * last-sync position, so the memo turns an
      * O(elements × segments) flush into O(elements + segments).
-     * Thread-safe: concurrent replays (parallel service-wear sweeps)
-     * hit the memo under its own mutex.
+     * Journal replay materialises elements in key order, which
+     * interleaves many tenancies' ranges, so the memo is a
+     * direct-mapped table of kMemoSlots ranges rather than one. Every
+     * entry is the same left-to-right sum a miss computes (never a
+     * prefix-sum difference, which rounds differently), so a hit is
+     * bit-identical to a miss. Thread-safe: concurrent replays
+     * (parallel service-wear sweeps) hit the memo under its mutex.
      */
     RunTotals
     runTotals(std::uint32_t from, std::uint32_t to) const
     {
         const std::lock_guard<std::mutex> lock(memo_mutex_);
-        if (memo_valid_ && memo_revision_ == revision_ &&
-            memo_from_ == from && memo_to_ == to) {
-            return memo_totals_;
+        if (!memo_) {
+            memo_ = std::make_unique<MemoSlot[]>(kMemoSlots);
+        }
+        MemoSlot &slot = memo_[memoIndex(from, to)];
+        if (slot.revision == revision_ && slot.from == from &&
+            slot.to == to) {
+            return slot.totals;
         }
         RunTotals totals;
         for (std::uint32_t k = from; k < to; ++k) {
@@ -162,11 +173,7 @@ class AgingTimeline
             totals.recovery_eff_h +=
                 seg.duration_h * seg.ctx.recovery_accel;
         }
-        memo_totals_ = totals;
-        memo_from_ = from;
-        memo_to_ = to;
-        memo_revision_ = revision_;
-        memo_valid_ = true;
+        slot = MemoSlot{from, to, revision_, totals};
         return totals;
     }
 
@@ -181,7 +188,10 @@ class AgingTimeline
     const phys::AgingStepContext &openContext() const { return open_ctx_; }
     const util::CompensatedSum &openHours() const { return open_h_; }
 
-    /** Restore into a fresh timeline; memo and revision start cold. */
+    /**
+     * Replace the timeline's contents. Indices now name different
+     * segments, so the revision moves on and every memo entry misses.
+     */
     void
     restoreState(std::vector<AgingSegment> closed,
                  const phys::AgingStepContext &open_ctx, double open_sum,
@@ -191,24 +201,43 @@ class AgingTimeline
         open_ctx_ = open_ctx;
         open_h_.restoreParts(open_sum, open_comp);
         open_valid_ = open_valid;
-        revision_ = 0;
-        memo_valid_ = false;
+        ++revision_;
     }
 
   private:
+    /**
+     * One memoized range. A zeroed slot is a valid entry: the empty
+     * range [0, 0) sums to zero at every revision.
+     */
+    struct MemoSlot
+    {
+        std::uint32_t from = 0;
+        std::uint32_t to = 0;
+        std::uint64_t revision = 0;
+        RunTotals totals;
+    };
+
+    /** Direct-mapped memo size; 8 KiB per timeline once used. */
+    static constexpr unsigned kMemoBits = 8;
+    static constexpr std::size_t kMemoSlots = std::size_t{1} << kMemoBits;
+
+    static std::size_t
+    memoIndex(std::uint32_t from, std::uint32_t to)
+    {
+        // Multiplicative hash of the pair; the top bits pick a slot.
+        const std::uint32_t h = from * 0x9E3779B1u ^ to * 0x85EBCA77u;
+        return h >> (32 - kMemoBits);
+    }
+
     std::vector<AgingSegment> closed_;
     phys::AgingStepContext open_ctx_;
     util::CompensatedSum open_h_;
     bool open_valid_ = false;
-    /** Bumped whenever closed-segment indices shift (compaction). */
+    /** Bumped whenever closed-segment indices shift or are replaced. */
     std::uint64_t revision_ = 0;
-    /** Single-range memo for runTotals (guarded by memo_mutex_). */
+    /** runTotals memo, allocated on first use (guarded by memo_mutex_). */
     mutable std::mutex memo_mutex_;
-    mutable RunTotals memo_totals_;
-    mutable std::uint32_t memo_from_ = 0;
-    mutable std::uint32_t memo_to_ = 0;
-    mutable std::uint64_t memo_revision_ = 0;
-    mutable bool memo_valid_ = false;
+    mutable std::unique_ptr<MemoSlot[]> memo_;
 };
 
 } // namespace pentimento::fabric

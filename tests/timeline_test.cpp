@@ -15,14 +15,21 @@
  *    nothing at all (idle fleet stock ages for free).
  *  - Compensated time accumulation: a million irregular steps land on
  *    the closed-form total instead of drifting.
+ *  - Run-total memo: AgingTimeline::runTotals answers from a table of
+ *    many ranges, and every answer — hit, miss, after compaction,
+ *    after a restore, under concurrent callers — is bit-equal to a
+ *    fresh left-to-right sum over the current segments.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "fabric/aging_timeline.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "phys/thermal.hpp"
@@ -136,6 +143,69 @@ runScenario(const Stepper &step, pu::ThreadPool *pool)
     out.push_back(device.elapsedHours());
     device.setWorkPool(nullptr);
     return out;
+}
+
+/** n closed segments with distinct, irregular durations and factors. */
+std::vector<pf::AgingSegment>
+randomSegments(std::size_t n, std::uint64_t seed)
+{
+    pu::Rng rng(seed);
+    std::vector<pf::AgingSegment> segs(n);
+    for (pf::AgingSegment &seg : segs) {
+        seg.duration_h = rng.uniform(0.1, 30.0);
+        seg.ctx.stress_accel = rng.uniform(0.5, 9.0);
+        seg.ctx.recovery_accel = rng.uniform(0.5, 9.0);
+    }
+    return segs;
+}
+
+/** Build a timeline whose closed segments are exactly `segs`. */
+void
+appendAll(pf::AgingTimeline &timeline,
+          const std::vector<pf::AgingSegment> &segs)
+{
+    for (const pf::AgingSegment &seg : segs) {
+        timeline.append(seg.duration_h, seg.ctx);
+    }
+    timeline.close();
+}
+
+/** The reference: a plain left-to-right sum over segs[from, to). */
+pf::RunTotals
+freshSum(const std::vector<pf::AgingSegment> &segs, std::uint32_t from,
+         std::uint32_t to)
+{
+    pf::RunTotals totals;
+    for (std::uint32_t k = from; k < to; ++k) {
+        totals.stress_eff_h += segs[k].duration_h * segs[k].ctx.stress_accel;
+        totals.recovery_eff_h +=
+            segs[k].duration_h * segs[k].ctx.recovery_accel;
+    }
+    return totals;
+}
+
+bool
+bitEqual(const pf::RunTotals &a, const pf::RunTotals &b)
+{
+    return std::bit_cast<std::uint64_t>(a.stress_eff_h) ==
+               std::bit_cast<std::uint64_t>(b.stress_eff_h) &&
+           std::bit_cast<std::uint64_t>(a.recovery_eff_h) ==
+               std::bit_cast<std::uint64_t>(b.recovery_eff_h);
+}
+
+/** `count` random non-empty ranges within [0, n). */
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+randomRanges(std::size_t count, std::uint32_t n, std::uint64_t seed)
+{
+    pu::Rng rng(seed);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto from = static_cast<std::uint32_t>(rng.uniformIndex(n));
+        const auto to = static_cast<std::uint32_t>(
+            rng.uniformInt(from + 1, n));
+        ranges.emplace_back(from, to);
+    }
+    return ranges;
 }
 
 TEST(SegmentTimeline, PartitionInvariantAgedDelays)
@@ -315,6 +385,87 @@ TEST(CompensatedTime, MillionIrregularStepsMatchClosedForm)
     // orders of magnitude further after 10^6 irregular steps.
     EXPECT_NEAR(device.elapsedHours(),
                 static_cast<double>(expected), 1e-9);
+}
+
+TEST(RunTotalsMemo, ThrashingManyRangesStaysBitExact)
+{
+    // Four times as many distinct ranges as the memo has slots,
+    // interleaved and revisited: every answer, hit or miss, must be
+    // the bits of a fresh left-to-right sum.
+    pf::AgingTimeline timeline;
+    appendAll(timeline, randomSegments(400, 11));
+    const std::vector<pf::AgingSegment> segs = timeline.closed();
+    ASSERT_EQ(segs.size(), 400u);
+    const auto ranges = randomRanges(1024, 400, 12);
+    pu::Rng order(13);
+    for (int pass = 0; pass < 6; ++pass) {
+        for (std::size_t i = 0; i < 4 * ranges.size(); ++i) {
+            const auto &[from, to] = ranges[order.uniformIndex(ranges.size())];
+            ASSERT_TRUE(bitEqual(timeline.runTotals(from, to),
+                                 freshSum(segs, from, to)))
+                << "pass " << pass << " range [" << from << ", " << to
+                << ")";
+        }
+    }
+}
+
+TEST(RunTotalsMemo, CompactionRebasesRememberedRanges)
+{
+    pf::AgingTimeline timeline;
+    appendAll(timeline, randomSegments(100, 21));
+    const std::vector<pf::AgingSegment> before = timeline.closed();
+    const pf::RunTotals old_totals = timeline.runTotals(10, 40);
+    ASSERT_TRUE(bitEqual(old_totals, freshSum(before, 10, 40)));
+
+    timeline.dropConsumed(5);
+    const std::vector<pf::AgingSegment> after = timeline.closed();
+    ASSERT_EQ(after.size(), 95u);
+    // The same numbers now name segments [15, 45) of the old list.
+    const pf::RunTotals rebased = timeline.runTotals(10, 40);
+    EXPECT_TRUE(bitEqual(rebased, freshSum(after, 10, 40)));
+    EXPECT_FALSE(bitEqual(rebased, old_totals));
+}
+
+TEST(RunTotalsMemo, RestoreInvalidatesRememberedRanges)
+{
+    pf::AgingTimeline timeline;
+    const std::vector<pf::AgingSegment> first = randomSegments(64, 31);
+    const std::vector<pf::AgingSegment> second = randomSegments(64, 32);
+    timeline.restoreState(first, {}, 0.0, 0.0, false);
+    const pf::RunTotals old_totals = timeline.runTotals(0, 20);
+    ASSERT_TRUE(bitEqual(old_totals, freshSum(first, 0, 20)));
+
+    // Same numeric range, different segments behind it: a restore
+    // that kept the memo's revision tag would answer from the old run.
+    timeline.restoreState(second, {}, 0.0, 0.0, false);
+    const pf::RunTotals restored = timeline.runTotals(0, 20);
+    EXPECT_TRUE(bitEqual(restored, freshSum(second, 0, 20)));
+    EXPECT_FALSE(bitEqual(restored, old_totals));
+}
+
+TEST(RunTotalsMemo, ConcurrentCallersMatchSerialResults)
+{
+    pf::AgingTimeline timeline;
+    appendAll(timeline, randomSegments(300, 41));
+    const std::vector<pf::AgingSegment> segs = timeline.closed();
+    const auto distinct = randomRanges(700, 300, 42);
+    pu::Rng pick(43);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> queries;
+    for (int i = 0; i < 20000; ++i) {
+        queries.push_back(distinct[pick.uniformIndex(distinct.size())]);
+    }
+
+    pu::ThreadPool pool(4);
+    ASSERT_GE(pool.workerCount(), 4u);
+    std::vector<pf::RunTotals> results(queries.size());
+    pool.parallelFor(0, queries.size(), [&](std::size_t i) {
+        results[i] = timeline.runTotals(queries[i].first, queries[i].second);
+    });
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        const auto &[from, to] = queries[i];
+        ASSERT_TRUE(bitEqual(results[i], freshSum(segs, from, to)))
+            << "query " << i;
+    }
 }
 
 } // namespace
