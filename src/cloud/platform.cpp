@@ -126,7 +126,14 @@ CloudPlatform::find(const std::string &instance_id)
 void
 CloudPlatform::release(const std::string &instance_id)
 {
-    releaseImpl(instance_id, /*clean=*/true, 0.0);
+    releaseImpl(instance_id, /*clean=*/true, 0.0, now_h_);
+}
+
+void
+CloudPlatform::releaseAt(const std::string &instance_id,
+                         double released_at_h)
+{
+    releaseImpl(instance_id, /*clean=*/true, 0.0, released_at_h);
 }
 
 void
@@ -137,12 +144,12 @@ CloudPlatform::releaseUnclean(const std::string &instance_id,
         util::fatal("CloudPlatform::releaseUnclean: bad off-power "
                     "hours");
     }
-    releaseImpl(instance_id, /*clean=*/false, off_power_hours);
+    releaseImpl(instance_id, /*clean=*/false, off_power_hours, now_h_);
 }
 
 void
 CloudPlatform::releaseImpl(const std::string &instance_id, bool clean,
-                           double off_power_hours)
+                           double off_power_hours, double released_at_h)
 {
     FpgaInstance *inst = find(instance_id);
     if (inst == nullptr || !inst->rented()) {
@@ -164,7 +171,7 @@ CloudPlatform::releaseImpl(const std::string &instance_id, bool clean,
         ++bram_scrub_ops_;
     }
     inst->setRented(false);
-    inst->setReleasedAtHour(now_h_);
+    inst->setReleasedAtHour(released_at_h);
 
     if (config_.active_scrub) {
         // Best-effort analog scrub: toggle everything that was ever
@@ -240,6 +247,15 @@ CloudPlatform::advanceHours(double hours, double step_h)
     now_h_ += hours;
 }
 
+void
+CloudPlatform::advanceClock(double hours)
+{
+    if (!(hours >= 0.0) || !std::isfinite(hours)) {
+        util::fatal("CloudPlatform::advanceClock: bad hours");
+    }
+    now_h_ += hours;
+}
+
 std::vector<std::string>
 CloudPlatform::allInstanceIds() const
 {
@@ -262,7 +278,7 @@ CloudPlatform::saveState(util::SnapshotWriter &writer) const
     writer.f64(config_.quarantine_hours);
     writer.u8(config_.active_scrub ? 1 : 0);
     writer.u8(static_cast<std::uint8_t>(config_.bram_scrub));
-    writer.u64(bram_scrub_ops_);
+    writer.u64(bram_scrub_ops_.load());
     writer.f64(now_h_);
     const util::Rng::State rng = rng_.state();
     for (const std::uint64_t word : rng.words) {
@@ -336,7 +352,7 @@ CloudPlatform::restoreState(util::SnapshotReader &reader,
     }
     now_h_ = now_h;
     rng_.setState(rng);
-    bram_scrub_ops_ = bram_scrub_ops;
+    bram_scrub_ops_.store(bram_scrub_ops);
     return reader.status();
 }
 

@@ -20,6 +20,7 @@
 #ifndef PENTIMENTO_CLOUD_PLATFORM_HPP
 #define PENTIMENTO_CLOUD_PLATFORM_HPP
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -134,6 +135,16 @@ class CloudPlatform
     void release(const std::string &instance_id);
 
     /**
+     * release() stamped at `released_at_h` instead of nowHours(), for
+     * a caller that advances its boards itself
+     * (FpgaInstance::advanceHours) and catches the platform clock up
+     * afterwards (advanceClock). It touches only this board and the
+     * atomic scrub counter, so concurrent calls on different boards
+     * are safe; so are concurrent instance() and loadDesign() calls.
+     */
+    void releaseAt(const std::string &instance_id, double released_at_h);
+
+    /**
      * Unclean teardown: the board returns to the pool outside the
      * provider's release pipeline (tenant crash, host power event).
      * Same configuration wipe and pool bookkeeping as release(), but
@@ -179,6 +190,14 @@ class CloudPlatform
      */
     void advanceHours(double hours, double step_h = 1.0);
 
+    /**
+     * Advance the platform clock alone: the catch-up for a caller
+     * that advanced every board itself. Called with the same sequence
+     * of spans as advanceHours() would have been, it leaves
+     * nowHours() bit-identical. Fatals on negative/non-finite hours.
+     */
+    void advanceClock(double hours);
+
     /** Ids of all instances (diagnostics / experiments). */
     std::vector<std::string> allInstanceIds() const;
 
@@ -209,9 +228,9 @@ class CloudPlatform
   private:
     FpgaInstance *find(const std::string &instance_id);
     bool availableForRent(const FpgaInstance &inst) const;
-    /** Shared body of release()/releaseUnclean(). */
+    /** Shared body of release()/releaseAt()/releaseUnclean(). */
     void releaseImpl(const std::string &instance_id, bool clean,
-                     double off_power_hours);
+                     double off_power_hours, double released_at_h);
 
     PlatformConfig config_;
     Marketplace marketplace_;
@@ -227,7 +246,8 @@ class CloudPlatform
     std::unordered_map<std::string, std::size_t> index_;
     util::Rng rng_;
     double now_h_ = 0.0;
-    std::uint64_t bram_scrub_ops_ = 0;
+    /** Atomic: releaseAt() may scrub boards concurrently. */
+    std::atomic<std::uint64_t> bram_scrub_ops_{0};
 };
 
 } // namespace pentimento::cloud

@@ -130,7 +130,7 @@ class ActivityJournal
 
     /**
      * Pre-size the table for `expected_keys` journaled keys (e.g. the
-     * configured-element count of an incoming design), so a design
+     * deferred-element count of an incoming design), so a design
      * load grows the table at most once instead of doubling through
      * it mid-loop.
      */
@@ -145,6 +145,9 @@ class ActivityJournal
 
     /** Number of keys journaled and not yet consumed. */
     std::size_t activeKeyCount() const { return active_; }
+
+    /** Probe-table slots allocated (the table's memory footprint). */
+    std::size_t tableSlots() const { return slots_.size(); }
 
     /** Keys journaled and not yet consumed, in table order. */
     std::vector<std::uint64_t> activeKeys() const;

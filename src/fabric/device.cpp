@@ -580,10 +580,6 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
     entry->handles.reserve(map.size());
     entry->activities.reserve(map.size());
     entry->deferred_order.reserve(map.size());
-    if (!config_.eager_materialisation) {
-        // One up-front growth instead of doubling mid-walk.
-        journal_.reserve(map.size());
-    }
     for (const auto &[key, activity] : map) {
         if (config_.eager_materialisation) {
             entry->activities.push_back(activity);
@@ -601,7 +597,19 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
             entry->key_activities.push_back(activity);
             entry->keys.push_back(key);
             entry->deferred_order.push_back(true);
-            if (journal_.recordIfChanged(key, activity, flip_pos)) {
+        }
+    }
+    if (!entry->keys.empty()) {
+        // One up-front growth instead of doubling mid-walk, sized by
+        // the deferred keys only: materialised keys never reach the
+        // journal, and reserving for them too rehashed a large table
+        // whenever an observed board loaded a mostly-materialised
+        // design (the attacker's measure and park designs).
+        journal_.reserve(entry->keys.size());
+        for (std::size_t i = 0; i < entry->keys.size(); ++i) {
+            if (journal_.recordIfChanged(entry->keys[i],
+                                         entry->key_activities[i],
+                                         flip_pos)) {
                 ++*journal_flips;
             }
         }

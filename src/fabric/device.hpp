@@ -191,6 +191,12 @@ class Device
         return journal_.activeKeyCount();
     }
 
+    /** Probe-table slots the activity journal has allocated. */
+    std::size_t journalTableSlots() const
+    {
+        return journal_.tableSlots();
+    }
+
     /**
      * Monotonic counter bumped whenever aged delays may have changed:
      * advance(), applyServiceWear(), loadDesign() and wipe(). Caches

@@ -386,18 +386,60 @@ restoreCampaignFrom(const std::string &path,
 }
 
 /**
+ * Drive one attack slot's clock: the takeover settle, then 25 ×
+ * [park for 1 − settle, settle]. `advance(hours, parked)` moves
+ * whatever the slot drives — the attacked board (which loads its park
+ * or measure design first and sweeps after each settle), a board that
+ * only ages through the slot, or the platform clock. One schedule for
+ * all three keeps every board on exactly the advanceHours calls of a
+ * serial scan.
+ */
+template <typename Advance>
+void
+driveAttackSlot(Advance &&advance)
+{
+    advance(core::kMeasureSettleHours, false);
+    for (double observed = 0.0; observed < kRecoveryHours - 1e-9;
+         observed += 1.0) {
+        advance(1.0 - core::kMeasureSettleHours, true);
+        advance(core::kMeasureSettleHours, false);
+    }
+}
+
+/**
+ * Age through scan slots [from, to) that attack nothing `advance`
+ * drives: a slot outside the shard (k < begin) is one kRecoveryHours
+ * + settle step, every other slot the driveAttackSlot schedule.
+ */
+template <typename Advance>
+void
+idleSlots(std::size_t from, std::size_t to, std::size_t begin,
+          Advance &&advance)
+{
+    for (std::size_t k = from; k < to; ++k) {
+        if (k < begin) {
+            advance(kRecoveryHours + core::kMeasureSettleHours);
+        } else {
+            driveAttackSlot([&](double hours, bool) { advance(hours); });
+        }
+    }
+}
+
+/**
  * TM2 park-and-watch on one re-acquired board: calibrate at takeover,
  * park the victim's routes at 0, record 25 hourly sweeps, classify
- * the recovery slopes.
+ * the recovery slopes, release. Touches only this board — it advances
+ * the instance, not the platform, and releases at `*clock_h` (the
+ * platform clock at slot start, advanced here by the slot) — so
+ * attacks on different boards may run concurrently.
  */
 FleetScanBoardScore
 attackBoard(cloud::CloudPlatform &platform,
             const std::string &board_id, const Tenancy &tenancy,
-            util::ThreadPool *pool, FleetScanBramScore *bram)
+            double *clock_h, FleetScanBramScore *bram)
 {
     cloud::FpgaInstance &inst = platform.instance(board_id);
     fabric::Device &device = inst.device();
-    device.setWorkPool(pool);
 
     if (bram != nullptr) {
         // BRAM readout must be the attacker's FIRST act: loading the
@@ -441,7 +483,7 @@ attackBoard(cloud::CloudPlatform &platform,
     if (!platform.loadDesign(board_id, measure).empty()) {
         util::fatal("fleet scan: measure design failed DRC");
     }
-    measure->calibrateAll(inst.dieTempK(), inst.rng(), pool);
+    measure->calibrateAll(inst.dieTempK(), inst.rng());
 
     auto park = std::make_shared<fabric::Design>("park0_" + board_id);
     for (const fabric::RouteSpec &spec : tenancy.specs) {
@@ -450,27 +492,25 @@ attackBoard(cloud::CloudPlatform &platform,
     park->setPowerW(2.0);
 
     std::vector<core::DeltaSeries> series(tenancy.specs.size());
-    double observed = 0.0;
-    const auto sweepNow = [&](double hour) {
-        if (!platform.loadDesign(board_id, measure).empty()) {
-            util::fatal("fleet scan: measure design failed DRC");
+    double hour = 0.0;
+    driveAttackSlot([&](double hours, bool parked) {
+        if (!platform.loadDesign(board_id, parked ? park : measure)
+                 .empty()) {
+            util::fatal(parked ? "fleet scan: park design failed DRC"
+                               : "fleet scan: measure design failed DRC");
         }
-        platform.advanceHours(core::kMeasureSettleHours);
+        inst.advanceHours(hours);
+        *clock_h += hours;
+        if (parked) {
+            return;
+        }
         const tdc::MeasurementSweep sweep =
-            measure->measureAll(inst.dieTempK(), inst.rng(), pool);
+            measure->measureAll(inst.dieTempK(), inst.rng());
         for (std::size_t i = 0; i < series.size(); ++i) {
             series[i].addPoint(hour, sweep.per_route[i].deltaPs());
         }
-    };
-    sweepNow(0.0);
-    while (observed < kRecoveryHours - 1e-9) {
-        if (!platform.loadDesign(board_id, park).empty()) {
-            util::fatal("fleet scan: park design failed DRC");
-        }
-        platform.advanceHours(1.0 - core::kMeasureSettleHours);
-        observed += 1.0;
-        sweepNow(observed);
-    }
+        hour += 1.0;
+    });
 
     core::ExperimentResult result;
     for (std::size_t i = 0; i < tenancy.specs.size(); ++i) {
@@ -484,8 +524,7 @@ attackBoard(cloud::CloudPlatform &platform,
     const core::ClassificationReport report =
         core::ThreatModel2Classifier().classify(result);
 
-    platform.release(board_id);
-    device.setWorkPool(nullptr);
+    platform.releaseAt(board_id, *clock_h);
     FleetScanBoardScore score;
     score.board = board_id;
     score.bits = report.bits.size();
@@ -754,13 +793,15 @@ runFleetScan(const FleetScanConfig &config)
     }
     result.skipped = skipped.size();
 
-    // Shard slice of the target list. Each attack advances the global
-    // clock by exactly kRecoveryHours + kMeasureSettleHours (one
-    // settle after the takeover sweep, then 25 × [park for
-    // 1−settle, settle+sweep]); all of its draws come from the
-    // attacked board's own per-instance rng. So an out-of-shard
-    // attack is replaced by that exact time advance: every board this
-    // shard does attack sees the identical global clock and identical
+    // Shard slice of the target list. Slot k attacks target k
+    // (driveAttackSlot). An attack draws only from its board's own
+    // per-instance rng, and every other board sees nothing but time
+    // advancing through the slot. So each attacked board runs its
+    // slots as one task — the idle slots before its own, its attack,
+    // the idle slots after — and every board gets exactly the
+    // advanceHours calls of a serial scan, whichever lane runs it. An
+    // out-of-shard slot (k < begin) is its single exact time advance,
+    // so every board this shard attacks sees the identical clock and
     // private draw stream as in an unsharded run (partition
     // invariance of advanceHours makes the coarser step exact).
     std::size_t begin = 0;
@@ -774,20 +815,52 @@ runFleetScan(const FleetScanConfig &config)
                              per);
         end = std::min(scan_targets.size(), begin + per);
     }
-    for (std::size_t k = 0; k < end; ++k) {
-        if (k < begin) {
-            platform.advanceHours(kRecoveryHours +
-                                  core::kMeasureSettleHours);
-            continue;
-        }
-        FleetScanBramScore bram;
-        result.boards.push_back(attackBoard(
-            platform, scan_targets[k].first, *scan_targets[k].second,
-            config.pool, config.bram_channel ? &bram : nullptr));
-        if (config.bram_channel) {
-            result.bram_boards.push_back(std::move(bram));
+    const double scan_start_h = platform.nowHours();
+    result.boards.resize(end - begin);
+    if (config.bram_channel) {
+        result.bram_boards.resize(end - begin);
+    }
+    const auto attackSlot = [&](std::size_t t) {
+        const std::size_t k = begin + t;
+        const std::string &board = scan_targets[k].first;
+        cloud::FpgaInstance &inst = platform.instance(board);
+        double clock_h = scan_start_h;
+        const auto age = [&](double hours) {
+            inst.advanceHours(hours);
+            clock_h += hours;
+        };
+        idleSlots(0, k, begin, age);
+        result.boards[t] = attackBoard(
+            platform, board, *scan_targets[k].second, &clock_h,
+            config.bram_channel ? &result.bram_boards[t] : nullptr);
+        idleSlots(k + 1, end, begin, age);
+    };
+    if (config.pool != nullptr) {
+        config.pool->parallelFor(0, end - begin, attackSlot);
+    } else {
+        for (std::size_t t = 0; t < end - begin; ++t) {
+            attackSlot(t);
         }
     }
+    // Every board this shard does not attack ages through all the
+    // slots; then the platform clock catches up with the same spans.
+    const auto attacked = [&](const std::string &id) {
+        for (std::size_t k = begin; k < end; ++k) {
+            if (scan_targets[k].first == id) {
+                return true;
+            }
+        }
+        return false;
+    };
+    for (const std::string &id : platform.allInstanceIds()) {
+        if (!attacked(id)) {
+            cloud::FpgaInstance &inst = platform.instance(id);
+            idleSlots(0, end, begin,
+                      [&](double hours) { inst.advanceHours(hours); });
+        }
+    }
+    idleSlots(0, end, begin,
+              [&](double hours) { platform.advanceClock(hours); });
     for (const std::string &board : skipped) {
         platform.release(board);
     }

@@ -99,14 +99,21 @@ struct FleetScanConfig
      * Board-range shard of the TM2 scan phase. The simulation phase
      * (cheap) runs identically everywhere; only targets
      * [shard_index·per, (shard_index+1)·per) of the deterministic
-     * scan-target list are attacked, with every other attack replaced
-     * by the exact time advance it would have caused. Concatenating
-     * shard results in shard order is byte-identical to an unsharded
-     * run. shard_count == 0 means unsharded.
+     * scan-target list are attacked. Every board ages through the
+     * scan's per-board slots: a slot before the shard is one exact
+     * time advance, a later slot the attack's own advance schedule.
+     * Concatenating shard results in shard order is byte-identical to
+     * an unsharded run. shard_count == 0 means unsharded.
      */
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 0;
-    /** Scan-phase work pool (nullptr = serial). */
+    /**
+     * Scan-phase work pool (nullptr = serial). Each attacked board is
+     * one task — its idle slots, its own attack, the idle slots after
+     * — so the scan fans out across boards, not across a board's
+     * sensors; with nullptr or a 0-worker pool the tasks run in slot
+     * order. The result is identical for every width.
+     */
     util::ThreadPool *pool = nullptr;
     /**
      * Fires once per completed simulated day with (day, hours,

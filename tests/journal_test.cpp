@@ -295,6 +295,46 @@ TEST(JournalLaziness, ImprintedIdsListsDeferredAndMaterialised)
         }));
 }
 
+TEST(JournalLaziness, MaterialisedDesignLoadDoesNotGrowTheTable)
+{
+    // An observed board re-loading designs over elements it has
+    // already materialised (the TM2 attacker's measure and park
+    // designs) journals nothing, so the load must not reserve table
+    // room for those keys either.
+    pf::Device device(tinyConfig(false));
+    std::vector<pf::RouteSpec> routes;
+    std::size_t elements = 0;
+    for (int r = 0; elements < 100; ++r) {
+        routes.push_back(
+            device.allocateRoute("r" + std::to_string(r), 500.0));
+        elements += routes.back().size();
+    }
+    auto burn = std::make_shared<pf::Design>("burn");
+    for (const pf::RouteSpec &spec : routes) {
+        burn->setRouteValue(spec, true);
+    }
+    device.loadDesign(burn);
+    device.advanceAt(10.0, 340.0);
+    for (const pf::RouteSpec &spec : routes) {
+        pf::Route route = device.bindRoute(spec);
+        (void)route.delayPs(pp::Transition::Rising, 333.15);
+    }
+    ASSERT_EQ(device.journaledKeyCount(), 0u);
+    const std::size_t slots = device.journalTableSlots();
+    ASSERT_GT(slots, 0u);
+
+    for (const bool value : {false, true, false}) {
+        auto park = std::make_shared<pf::Design>("park");
+        for (const pf::RouteSpec &spec : routes) {
+            park->setRouteValue(spec, value);
+        }
+        device.loadDesign(park);
+        device.advanceAt(1.0, 340.0);
+    }
+    EXPECT_EQ(device.journaledKeyCount(), 0u);
+    EXPECT_EQ(device.journalTableSlots(), slots);
+}
+
 // ----------------------------------------- cloud deferral interplay
 
 /**

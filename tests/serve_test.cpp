@@ -943,6 +943,127 @@ TEST_F(ServeTest, StreamedSweepsArriveBeforeTheResult)
     EXPECT_EQ(reader.u64(), 4u); // result agrees on the sweep count
 }
 
+// ------------------------------------------ fleet-scan lane layout
+
+/** A small region with enough released boards to fill 8 scan slots. */
+serve::FleetScanConfig
+laneScanConfig(bool stressed, std::size_t max_measured)
+{
+    serve::FleetScanConfig config;
+    config.fleet = 24;
+    config.days = 100;
+    config.seed = 4141;
+    config.routes_per_tenant = 2;
+    config.max_measured = max_measured;
+    if (stressed) {
+        config.journal_stress = true;
+        config.bram_channel = true;
+        config.bram_scrub = cloud::BramScrubPolicy::ZeroOnRelease;
+    }
+    return config;
+}
+
+/** Wire bytes plus the local bookkeeping the scan's lanes fill in. */
+std::vector<std::uint8_t>
+scanFingerprint(const serve::FleetScanResult &result)
+{
+    std::vector<std::uint8_t> out = serve::encodeFleetScanResult(1, result);
+    serve::WireWriter w;
+    w.u64(result.stress_boards);
+    w.u64(result.stress_elements);
+    w.u64(result.bram_scrub_ops);
+    w.u32(static_cast<std::uint32_t>(result.bram_boards.size()));
+    for (const serve::FleetScanBramScore &bram : result.bram_boards) {
+        w.str(bram.board);
+        w.u64(bram.blocks);
+        w.u64(bram.recovered);
+        w.u64(bram.decayed);
+        w.u64(bram.zeroed);
+        w.u8(bram.unclean ? 1 : 0);
+    }
+    const std::vector<std::uint8_t> tail = w.take();
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+}
+
+serve::FleetScanResult
+runScan(const serve::FleetScanConfig &config)
+{
+    util::Expected<serve::FleetScanResult> result =
+        serve::runFleetScan(config);
+    EXPECT_TRUE(result.ok()) << result.error();
+    return result.ok() ? std::move(result.value())
+                       : serve::FleetScanResult{};
+}
+
+TEST(FleetScanLanes, ResultIsIdenticalAcrossPoolWidths)
+{
+    util::setVerbosity(util::Verbosity::Silent);
+    for (const bool stressed : {false, true}) {
+        for (const std::size_t measured : {2u, 8u}) {
+            SCOPED_TRACE(std::string(stressed ? "stressed" : "plain") +
+                         " max_measured=" + std::to_string(measured));
+            const serve::FleetScanResult serial =
+                runScan(laneScanConfig(stressed, measured));
+            ASSERT_EQ(serial.boards.size(), measured);
+            ASSERT_EQ(serial.bram_boards.size(), stressed ? measured : 0);
+            const std::vector<std::uint8_t> reference =
+                scanFingerprint(serial);
+            for (const std::size_t workers : {0u, 1u, 3u}) {
+                util::ThreadPool pool(workers);
+                serve::FleetScanConfig config =
+                    laneScanConfig(stressed, measured);
+                config.pool = &pool;
+                EXPECT_EQ(scanFingerprint(runScan(config)), reference)
+                    << workers << " workers";
+            }
+        }
+    }
+}
+
+TEST(FleetScanLanes, ShardsAtFullWidthConcatenateToTheUnshardedRun)
+{
+    util::setVerbosity(util::Verbosity::Silent);
+    // 8 targets: 2 shards split them 4 + 4, 3 shards 3 + 3 + 2.
+    util::ThreadPool pool(3);
+    for (const bool stressed : {false, true}) {
+        const serve::FleetScanResult whole =
+            runScan(laneScanConfig(stressed, 8));
+        for (const std::uint32_t shards : {2u, 3u}) {
+            SCOPED_TRACE(std::string(stressed ? "stressed" : "plain") +
+                         " shards=" + std::to_string(shards));
+            serve::FleetScanResult merged;
+            std::vector<serve::FleetScanBramScore> bram;
+            for (std::uint32_t i = 0; i < shards; ++i) {
+                serve::FleetScanConfig config =
+                    laneScanConfig(stressed, 8);
+                config.shard_index = i;
+                config.shard_count = shards;
+                config.pool = &pool;
+                serve::FleetScanResult part = runScan(config);
+                merged.tenancies = part.tenancies;
+                merged.simulated_h = part.simulated_h;
+                merged.skipped = part.skipped;
+                merged.boards.insert(merged.boards.end(),
+                                     part.boards.begin(),
+                                     part.boards.end());
+                bram.insert(bram.end(), part.bram_boards.begin(),
+                            part.bram_boards.end());
+            }
+            EXPECT_EQ(serve::encodeFleetScanResult(1, merged),
+                      serve::encodeFleetScanResult(1, whole));
+            ASSERT_EQ(bram.size(), whole.bram_boards.size());
+            for (std::size_t b = 0; b < bram.size(); ++b) {
+                EXPECT_EQ(bram[b].board, whole.bram_boards[b].board);
+                EXPECT_EQ(bram[b].recovered,
+                          whole.bram_boards[b].recovered);
+                EXPECT_EQ(bram[b].decayed, whole.bram_boards[b].decayed);
+                EXPECT_EQ(bram[b].zeroed, whole.bram_boards[b].zeroed);
+            }
+        }
+    }
+}
+
 // ----------------------------------------- checkpoint/resume engine
 
 class FleetScanResumeTest : public ::testing::Test
