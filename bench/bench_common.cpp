@@ -1,5 +1,7 @@
 #include "bench_common.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,28 +18,23 @@ namespace pentimento::bench {
 int
 parseWorkers(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--workers") == 0) {
-            const int lanes = std::atoi(argv[i + 1]);
-            if (lanes >= 1) {
-                return lanes;
-            }
-            std::fprintf(stderr,
-                         "bench: ignoring bad --workers '%s'\n",
-                         argv[i + 1]);
-        }
+    // Fallback 0 marks "flag absent": a present value must be >= 1.
+    const long lanes =
+        parseLongFlag(argc, argv, "--workers", 0, 1, INT_MAX);
+    if (lanes > 0) {
+        return static_cast<int>(lanes);
     }
     // Environment fallback goes through the library's single parser
     // of PENTIMENTO_WORKERS so the lanes convention can't drift.
-    if (const auto lanes = util::ThreadPool::lanesFromEnv()) {
-        return static_cast<int>(*lanes);
+    if (const auto env_lanes = util::ThreadPool::lanesFromEnv()) {
+        return static_cast<int>(*env_lanes);
     }
     return 1;
 }
 
 long
 parseLongFlag(int argc, char **argv, const char *flag, long fallback,
-              long min_value)
+              long min_value, long max_value)
 {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], flag) != 0) {
@@ -48,8 +45,10 @@ parseLongFlag(int argc, char **argv, const char *flag, long fallback,
                         flag);
         }
         char *end = nullptr;
+        errno = 0;
         const long value = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0' || value < min_value) {
+        if (end == argv[i + 1] || *end != '\0' || errno == ERANGE ||
+            value < min_value || value > max_value) {
             util::fatal(std::string("bench: bad value for ") + flag);
         }
         return value;
@@ -71,7 +70,14 @@ hasFlag(int argc, char **argv, const char *flag)
 std::unique_ptr<util::ThreadPool>
 makePool(int argc, char **argv)
 {
-    const int lanes = parseWorkers(argc, argv);
+    int lanes = 1;
+    try {
+        lanes = parseWorkers(argc, argv);
+    } catch (const util::FatalError &error) {
+        // A bad --workers is a usage error: exit, never abort.
+        std::fprintf(stderr, "%s\n", error.what());
+        std::exit(2);
+    }
     return std::make_unique<util::ThreadPool>(
         static_cast<std::size_t>(lanes - 1));
 }

@@ -6,6 +6,7 @@
 #ifndef PENTIMENTO_BENCH_COMMON_HPP
 #define PENTIMENTO_BENCH_COMMON_HPP
 
+#include <climits>
 #include <memory>
 #include <string>
 
@@ -19,18 +20,21 @@ namespace pentimento::bench {
  * Total parallel lanes requested on the command line: `--workers N`
  * wins, then PENTIMENTO_WORKERS, then 1 (serial). Benches are
  * deterministic by construction, so lanes only change wall-clock,
- * never output.
+ * never output. A malformed or non-positive `--workers` fatals, the
+ * same as parseLongFlag().
  */
 int parseWorkers(int argc, char **argv);
 
 /**
  * `--flag N` integer argument, or `fallback` when the flag is absent.
- * Fatals on a missing, malformed, or below-minimum value — a scaling
- * flag silently falling back would misattribute the resulting
+ * Fatals on a missing, malformed, or out-of-range value (outside
+ * [min_value, max_value], or past what a long holds) — a scaling flag
+ * silently falling back or wrapping would misattribute the resulting
  * numbers.
  */
 long parseLongFlag(int argc, char **argv, const char *flag,
-                   long fallback, long min_value = 1);
+                   long fallback, long min_value = 1,
+                   long max_value = LONG_MAX);
 
 /** True when a bare boolean flag (e.g. `--journal-stress`) is
  *  present. */
@@ -40,7 +44,8 @@ bool hasFlag(int argc, char **argv, const char *flag);
  * Build the bench's work pool from the command line: a pool with
  * parseWorkers() - 1 extra threads (the caller is the final lane).
  * With --workers 1 the pool has zero workers and every
- * parallelMap/parallelFor degenerates to the serial loop.
+ * parallelMap/parallelFor degenerates to the serial loop. A bad
+ * --workers prints the error and exits 2.
  */
 std::unique_ptr<util::ThreadPool> makePool(int argc, char **argv);
 

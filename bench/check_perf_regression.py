@@ -1,24 +1,15 @@
 #!/usr/bin/env python3
-"""CI perf gate: compare two microbench snapshots.
+"""Same-host perf gate: a change tree against its parent tree.
 
-Usage: check_perf_regression.py BASELINE.json NEW.json
-           [--max-regress 0.10] [--noise-floor-ns 100]
-           [--min-speedup NAME=FACTOR ...]
+Usage: check_perf_regression.py --parent PARENT_TREE --change CHANGE_TREE
 
-Fails (exit 1) when any kernel present in BOTH snapshots is slower in
-NEW by more than --max-regress (fractional). Kernels faster than the
-noise floor in the baseline are reported but never fail the gate:
-at tens of nanoseconds per op, run-to-run and machine-to-machine
-jitter exceeds the regression threshold. Kernels that exist only in
-NEW (freshly registered benchmarks) are listed as new. A baseline
-kernel that is MISSING from NEW fails the gate by name (a rename or
-accidental deregistration would otherwise silently drop coverage);
-waive deliberate removals with --allow-removed NAME.
-
---min-speedup locks a claimed optimisation in: the named kernel must
-be at least FACTOR times faster in NEW than in BASELINE (e.g.
-`--min-speedup BM_FleetIdleDay=5` gates the event-driven ambient
-fast path against the committed PR 3 snapshot).
+Both trees are checkouts with BENCHMARK.json at their root, built and
+run on this host by perfbench (perfbench/README.md). For every workload
+in BENCHMARK.json the gate runs PAIRS alternating parent/change pairs of
+SECONDS each, one fresh seed per pair, through perfbench/ab.py. It fails
+when any run is incorrect, and names the workload and metric when the
+change's median of an end-to-end metric is worse than the parent's
+median by more than that metric's bound.
 """
 
 import argparse
@@ -26,126 +17,58 @@ import json
 import os
 import sys
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+import ab  # noqa: E402
 
-def load(path):
-    # A missing snapshot is a configuration error, not a clean gate: a
-    # mistyped baseline name (or a forgotten commit of the new PR's
-    # snapshot) must fail loudly instead of green-lighting the build.
-    if not os.path.exists(path):
-        raise SystemExit(
-            f"{path}: snapshot not found — the perf gate needs both a "
-            f"committed baseline and a freshly generated snapshot; "
-            f"check the file name and that the benchmark step ran")
-    with open(path) as f:
-        snap = json.load(f)
-    if snap.get("schema") != "pentimento-microbench-v1":
-        raise SystemExit(f"{path}: unexpected schema {snap.get('schema')!r}")
-    return snap["kernels"]
+PAIRS = 3
+SECONDS = 10
+FIRST_SEED = 1000
+
+
+def run_pairs(trees, workload):
+    """Per-metric values of each tree, parent first on even pairs."""
+    values = ({}, {})
+    for i in range(PAIRS):
+        print(f"{workload}: pair {i}, seed {FIRST_SEED + i}", flush=True)
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            metrics, _ = ab.run_once(trees[side], workload, FIRST_SEED + i,
+                                     SECONDS)
+            for name, m in metrics.items():
+                values[side].setdefault(name, []).append(m["value"])
+    return values
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("baseline")
-    ap.add_argument("new")
-    ap.add_argument("--max-regress", type=float, default=0.10,
-                    help="max allowed fractional slowdown (default 0.10)")
-    ap.add_argument("--noise-floor-ns", type=float, default=100.0,
-                    help="baseline ns/op below which kernels are "
-                         "advisory only (default 100)")
-    ap.add_argument("--min-speedup", action="append", default=[],
-                    metavar="NAME=FACTOR",
-                    help="require kernel NAME to be at least FACTOR "
-                         "times faster than the baseline")
-    ap.add_argument("--allow-removed", action="append", default=[],
-                    metavar="NAME",
-                    help="baseline kernel NAME may be absent from the "
-                         "new snapshot (deliberate rename/retirement); "
-                         "any other disappearance fails the gate")
-    ap.add_argument("--advisory", action="append", default=[],
-                    metavar="NAME",
-                    help="report kernel NAME but never fail on it — "
-                         "for microkernels whose committed history "
-                         "proves multi-x swings across host machines")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
     args = ap.parse_args()
-
-    base = load(args.baseline)
-    new = load(args.new)
-
-    required = {}
-    for spec in args.min_speedup:
-        name, _, factor = spec.partition("=")
-        if not factor:
-            raise SystemExit(f"--min-speedup {spec!r}: expected NAME=FACTOR")
-        required[name] = float(factor)
+    spec = ab.bounds(args.parent)
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
 
     failures = []
-    rows = []
-    for name in sorted(set(base) & set(new)):
-        b, n = base[name], new[name]
-        ratio = n / b if b > 0 else float("inf")
-        flag = ""
-        if ratio > 1.0 + args.max_regress:
-            if b < args.noise_floor_ns:
-                flag = "  (regressed, sub-noise-floor: advisory)"
-            elif name in args.advisory:
-                flag = "  (regressed, advisory by flag)"
-            else:
+    for workload in workloads:
+        parent, change = run_pairs((args.parent, args.change), workload)
+        print(f"{workload}: metric, parent median, change median, "
+              f"worse by, bound")
+        for name, metric in spec.items():
+            p = ab.quartiles(parent[name])[1]
+            c = ab.quartiles(change[name])[1]
+            worse = (c - p) / p if metric["better"] == "lower" else (p - c) / p
+            flag = ""
+            if worse > metric["bound"]:
                 flag = "  << REGRESSION"
-                failures.append(name)
-        elif ratio < 1.0 - args.max_regress:
-            flag = "  (improved)"
-        rows.append(f"  {name:44s} {b:>12.1f} {n:>12.1f} {ratio:>7.2f}x{flag}")
+                failures.append(f"{workload}: {name} worse by {worse:.1%} "
+                                f"(bound {metric['bound']:.0%})")
+            print(f"  {name:16s} {p:12.6g} {c:12.6g} {worse:+8.1%} "
+                  f"{metric['bound']:6.0%}{flag}")
 
-    print(f"perf gate: {args.baseline} -> {args.new} "
-          f"(max regress {args.max_regress:.0%})")
-    print(f"  {'kernel':44s} {'base ns/op':>12s} {'new ns/op':>12s} {'ratio':>8s}")
-    for row in rows:
-        print(row)
-    for name in sorted(set(new) - set(base)):
-        print(f"  {name:44s} {'-':>12s} {new[name]:>12.1f}   (new kernel)")
-    # A kernel that disappears silently loses its gate coverage — a
-    # rename or accidental deregistration must fail loudly, naming the
-    # kernel, unless explicitly waived with --allow-removed.
-    removed_failures = []
-    allowed_removed = set(args.allow_removed)
-    for name in sorted(set(base) - set(new)):
-        if name in allowed_removed:
-            print(f"  {name:44s} {base[name]:>12.1f} {'-':>12s}   "
-                  f"(removed: waived by --allow-removed)")
-        else:
-            print(f"  {name:44s} {base[name]:>12.1f} {'-':>12s}   "
-                  f"<< MISSING from new snapshot")
-            removed_failures.append(name)
-
-    speedup_failures = []
-    for name, factor in sorted(required.items()):
-        if name not in base or name not in new:
-            print(f"  {name:44s} required >= {factor:.1f}x speedup but "
-                  f"kernel is missing from a snapshot")
-            speedup_failures.append(name)
-            continue
-        achieved = base[name] / new[name] if new[name] > 0 else float("inf")
-        verdict = "ok" if achieved >= factor else "<< TOO SLOW"
-        print(f"  {name:44s} speedup {achieved:>7.2f}x "
-              f"(required {factor:.1f}x)  {verdict}")
-        if achieved < factor:
-            speedup_failures.append(name)
-
-    if failures or speedup_failures or removed_failures:
-        parts = []
-        if failures:
-            parts.append(f"{len(failures)} kernel(s) regressed more than "
-                         f"{args.max_regress:.0%}: {', '.join(failures)}")
-        if speedup_failures:
-            parts.append(f"{len(speedup_failures)} kernel(s) missed their "
-                         f"required speedup: {', '.join(speedup_failures)}")
-        if removed_failures:
-            parts.append(f"{len(removed_failures)} baseline kernel(s) "
-                         f"missing from the new snapshot: "
-                         f"{', '.join(removed_failures)}")
-        print(f"\nFAIL: {'; '.join(parts)}")
+    if failures:
+        print("\nFAIL: " + "; ".join(failures))
         return 1
-    print("\nOK: all perf gates passed")
+    print(f"\nOK: {len(workloads)} workloads within their bounds")
     return 0
 
 

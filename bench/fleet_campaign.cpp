@@ -47,7 +47,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -307,22 +309,29 @@ main(int argc, char **argv)
     long halt_at_day = 0;
     long day_sleep_ms = 0;
     long shards = 0;
+    int lanes = 1;
     std::string checkpoint_path;
     try {
-        kFleet = static_cast<std::size_t>(
-            bench::parseLongFlag(argc, argv, "--fleet", kDefaultFleet));
+        // Every bound is checked here, before the value is narrowed to
+        // the int/uint32_t fields it feeds: a wrapped value would run
+        // a different campaign instead of failing.
+        kFleet = static_cast<std::size_t>(bench::parseLongFlag(
+            argc, argv, "--fleet", kDefaultFleet, 1, UINT32_MAX));
         kDays = 365 * static_cast<int>(bench::parseLongFlag(
-                          argc, argv, "--years", kDefaultYears));
+                          argc, argv, "--years", kDefaultYears, 1,
+                          INT_MAX / 365));
         // Seed 0 is a legal Rng seed, so the floor is 0 here.
         seed = static_cast<std::uint64_t>(bench::parseLongFlag(
             argc, argv, "--seed", static_cast<long>(kDefaultSeed), 0));
-        checkpoint_every =
-            bench::parseLongFlag(argc, argv, "--checkpoint-every", 0);
-        halt_at_day =
-            bench::parseLongFlag(argc, argv, "--halt-at-day", 0);
-        day_sleep_ms =
-            bench::parseLongFlag(argc, argv, "--day-sleep-ms", 0, 0);
-        shards = bench::parseLongFlag(argc, argv, "--shards", 0, 0);
+        checkpoint_every = bench::parseLongFlag(
+            argc, argv, "--checkpoint-every", 0, 1, INT_MAX);
+        halt_at_day = bench::parseLongFlag(argc, argv, "--halt-at-day",
+                                           0, 1, INT_MAX);
+        day_sleep_ms = bench::parseLongFlag(
+            argc, argv, "--day-sleep-ms", 0, 0, UINT32_MAX);
+        shards = bench::parseLongFlag(argc, argv, "--shards", 0, 0,
+                                      serve::kMaxShards);
+        lanes = bench::parseWorkers(argc, argv);
         checkpoint_path = parseStringFlag(
             argc, argv, "--checkpoint-path", kDefaultCheckpointPath);
     } catch (const util::FatalError &error) {
@@ -474,8 +483,8 @@ main(int argc, char **argv)
     config.bram_channel = bram;
     config.bram_scrub = bram_scrub;
     config.halt_at_day = static_cast<int>(halt_at_day);
-    const auto pool = bench::makePool(argc, argv);
-    config.pool = pool.get();
+    util::ThreadPool pool(static_cast<std::size_t>(lanes - 1));
+    config.pool = &pool;
     SignalObserver observer(kDays);
     config.observer = &observer;
     std::signal(SIGINT, onSignal);

@@ -21,7 +21,6 @@
 #include "tdc/tdc.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/snapshot.hpp"
 
 using namespace pentimento;
 
@@ -253,8 +252,8 @@ void
 BM_TenancyTurnoverEager(benchmark::State &state)
 {
     // The pre-journal behaviour, kept in-tree so the >= 3x claim is
-    // reproducible on any machine from a single snapshot (compare
-    // with BM_TenancyTurnover) rather than only across snapshots.
+    // reproducible on any machine from a single run (compare with
+    // BM_TenancyTurnover) rather than only across hosts.
     runTenancyTurnover(state, true);
 }
 BENCHMARK(BM_TenancyTurnoverEager);
@@ -346,69 +345,12 @@ void
 BM_MeasureSweepExact(benchmark::State &state)
 {
     // The bit-exact default path (polar-method jitter per sample,
-    // Welford trace means), kept measurable in-snapshot so the fast
-    // path's speedup is reproducible anywhere (the
+    // Welford trace means), kept measurable in the same run so the
+    // fast path's speedup is reproducible anywhere (the
     // BM_TenancyTurnoverEager precedent).
     runMeasureSweepParallel(state, false);
 }
 BENCHMARK(BM_MeasureSweepExact)->Args({256, 0})->Args({256, 3});
-
-void
-BM_CheckpointSaveRestore(benchmark::State &state)
-{
-    // The PR-7 crash-safety kernel: serialize a fleet the size the
-    // campaign runs (in-memory image, no disk — the format cost, not
-    // the filesystem's) and restore it into a fresh platform,
-    // measuring the full round trip a periodic checkpoint pays. The
-    // fleet carries some real history so the boards aren't all
-    // trivially pristine.
-    cloud::PlatformConfig config;
-    config.fleet_size = static_cast<std::size_t>(state.range(0));
-    config.region = "bench";
-    config.seed = 77;
-    cloud::CloudPlatform platform(config);
-    const auto boards = platform.rentAll();
-    for (std::size_t i = 0; i < boards.size() && i < 8; ++i) {
-        fabric::Device &device =
-            platform.instance(boards[i]).device();
-        std::vector<fabric::RouteSpec> specs;
-        for (int r = 0; r < 4; ++r) {
-            specs.push_back(device.allocateRoute(
-                "b" + std::to_string(i) + "_r" + std::to_string(r),
-                2000.0));
-        }
-        auto design = std::make_shared<fabric::TargetDesign>(
-            "bench_" + boards[i], specs,
-            std::vector<bool>(specs.size(), i % 2 == 0));
-        platform.loadDesign(boards[i], design);
-    }
-    platform.advanceHours(48.0);
-    for (const std::string &board : boards) {
-        platform.release(board);
-    }
-    platform.advanceHours(24.0);
-
-    std::size_t image_bytes = 0;
-    for (auto _ : state) {
-        util::SnapshotWriter writer;
-        platform.saveState(writer);
-        std::vector<std::uint8_t> image = writer.finish();
-        image_bytes = image.size();
-
-        cloud::CloudPlatform restored(config);
-        auto reader =
-            util::SnapshotReader::fromBuffer(std::move(image));
-        if (!reader.ok() ||
-            !restored.restoreState(reader.value()).ok()) {
-            state.SkipWithError("checkpoint round trip failed");
-            break;
-        }
-        benchmark::DoNotOptimize(restored.nowHours());
-    }
-    state.SetLabel(std::to_string(state.range(0)) + " boards, " +
-                   std::to_string(image_bytes / 1024) + " KiB image");
-}
-BENCHMARK(BM_CheckpointSaveRestore)->Arg(16)->Arg(112);
 
 void
 BM_ThreadPoolOverhead(benchmark::State &state)

@@ -1,18 +1,15 @@
 #!/usr/bin/env sh
-# Measure the campaign server's sustained request throughput and
-# distill it into the perf-trajectory snapshot schema: the loadgen's
-# ns_per_request (inverse requests/s) becomes a "kernel" so
-# check_perf_regression.py can gate it like any other number.
+# Drive the campaign server with concurrent well-formed + adversarial
+# traffic and fail on any failed request.
 #
-# Usage: bench/run_server_bench.sh [build_dir] [out_json]
+# Usage: bench/run_server_bench.sh [build_dir]
 #
 # Starts a throwaway campaign_server on an ephemeral loopback port,
-# drives it with mixed well-formed + adversarial traffic, and tears it
-# down. Run from the repository root in a Release build.
+# runs server_loadgen against it, tears the server down and exits with
+# the loadgen's status. Run from the repository root.
 set -eu
 
 BUILD_DIR=${1:-build}
-OUT=${2:-BENCH_pr8.json}
 SERVER="$BUILD_DIR/bench/campaign_server"
 LOADGEN="$BUILD_DIR/bench/server_loadgen"
 
@@ -24,12 +21,11 @@ for bin in "$SERVER" "$LOADGEN"; do
 done
 
 LOG=$(mktemp)
-RAW=$(mktemp)
 SERVER_PID=""
 cleanup() {
     [ -n "$SERVER_PID" ] && kill -TERM "$SERVER_PID" 2>/dev/null && \
         wait "$SERVER_PID" 2>/dev/null
-    rm -f "$LOG" "$RAW"
+    rm -f "$LOG"
 }
 trap cleanup EXIT
 
@@ -52,30 +48,4 @@ fi
 # No pipeline here: the loadgen's exit code (nonzero on ANY failed
 # request) must propagate through `set -e`.
 "$LOADGEN" --port "$PORT" --clients 4 --requests 500 \
-    --adversarial-every 4 >"$RAW"
-cat "$RAW"
-
-python3 - "$RAW" "$OUT" <<'EOF'
-import json
-import sys
-
-raw_path, out_path = sys.argv[1], sys.argv[2]
-ns = None
-with open(raw_path) as f:
-    for line in f:
-        if line.startswith("ns_per_request"):
-            ns = float(line.split()[1])
-if ns is None or ns <= 0:
-    raise SystemExit("run_server_bench: no ns_per_request in loadgen "
-                     "output — did the load run fail?")
-
-out = {
-    "schema": "pentimento-microbench-v1",
-    "unit": "ns/op",
-    "kernels": {"ServerPingRoundTrip": round(ns, 1)},
-}
-with open(out_path, "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(f"wrote {out_path} (ServerPingRoundTrip = {ns:.0f} ns/request)")
-EOF
+    --adversarial-every 4

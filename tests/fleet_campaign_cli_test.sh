@@ -38,6 +38,16 @@ expect_usage_error "unknown flag"       --bogus-flag
 expect_usage_error "missing value"      --fleet
 expect_usage_error "missing ckpt value" --checkpoint-every
 expect_usage_error "bad ckpt cadence"   --checkpoint-every 0
+# Values that parse but would wrap once narrowed to int/uint32_t, and
+# worker counts that used to be ignored. The tiny fleet keeps a
+# regression (a run that starts instead of refusing) fast.
+expect_usage_error "--workers junk"     --fleet 4 --workers junk
+expect_usage_error "--workers 0"        --fleet 4 --workers 0
+expect_usage_error "--years overflow"   --fleet 4 --years 6000000
+expect_usage_error "--years past long"  --fleet 4 --years 99999999999999999999
+expect_usage_error "--shards past u32"  --fleet 4 --shards 4294967297
+expect_usage_error "--shards too many"  --fleet 4 --shards 65
+expect_usage_error "ckpt past int"      --fleet 4 --checkpoint-every 2147483648
 
 # A valid (tiny) invocation must pass the whitelist and succeed.
 if ! "$bin" --fleet 4 --years 1 --seed 7 >/dev/null 2>&1; then

@@ -786,27 +786,64 @@ TEST_F(ServeTest, ExpiredWhileQueuedIsDeadlineExceeded)
 
 TEST_F(ServeTest, DrainRefusesNewWorkAndCancelsCampaigns)
 {
-    auto server = startServer(baseConfig());
+    // The campaign's checkpoints land here; its first one is the
+    // test's proof that the scan is in flight.
+    char tmpl[] = "/tmp/serve_drain_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    serve::CampaignServerConfig config = baseConfig();
+    config.checkpoint_dir = dir;
+    auto server = startServer(config);
+
+    // A draining server stops accepting, so both connections are
+    // opened, and proven accepted by a Ping, before the drain.
+    serve::ClientConnection campaign;
+    serve::ClientConnection other;
+    for (serve::ClientConnection *conn : {&campaign, &other}) {
+        ASSERT_TRUE(conn->connect(server->port()).ok());
+        ASSERT_TRUE(conn->sendFrame(FrameType::Request,
+                                    serve::encodeRequest(pingRequest(42)))
+                        .ok());
+        const util::Expected<Frame> pong = conn->readFrame(5000);
+        ASSERT_TRUE(pong.ok()) << pong.error();
+        ASSERT_EQ(pong.value().type, FrameType::Result);
+    }
+
     Request slow = smallFleetScanRequest(40, 9);
     slow.days = 2000;
     slow.throttle_ms_per_day = 20;
-    serve::ClientConnection campaign;
-    ASSERT_TRUE(campaign.connect(server->port()).ok());
+    slow.checkpoint_every_days = 1;
     ASSERT_TRUE(campaign
                     .sendFrame(FrameType::Request,
                                serve::encodeRequest(slow))
                     .ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    char name[64];
+    std::snprintf(name, sizeof(name), "/campaign_%016llx.ckpt",
+                  static_cast<unsigned long long>(40));
+    const std::string checkpoint = dir + name;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (::access(checkpoint.c_str(), F_OK) != 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+            << "the campaign never committed its day-1 checkpoint";
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
 
     server->requestDrain();
     // New non-ping work is refused...
-    const util::Expected<Frame> refused =
-        roundTrip(server->port(), smallChurnRequest(41, 1), 5000);
-    expectError(refused, ErrorCode::ShuttingDown);
+    ASSERT_TRUE(other
+                    .sendFrame(FrameType::Request,
+                               serve::encodeRequest(
+                                   smallChurnRequest(41, 1)))
+                    .ok());
+    expectError(other.readFrame(5000), ErrorCode::ShuttingDown);
     // ...and the in-flight campaign cancels at its next day boundary.
-    const util::Expected<Frame> cancelled = campaign.readFrame(20000);
-    expectError(cancelled, ErrorCode::ShuttingDown);
+    expectError(campaign.readFrame(20000), ErrorCode::ShuttingDown);
     server->stop();
+    for (const char *suffix : {"", ".prev", ".tmp"}) {
+        ::unlink((checkpoint + suffix).c_str());
+    }
+    ::rmdir(dir.c_str());
 }
 
 TEST_F(ServeTest, ChurnResponseMatchesDirectRun)
