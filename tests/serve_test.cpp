@@ -791,6 +791,24 @@ TEST_F(ServeTest, DrainRefusesNewWorkAndCancelsCampaigns)
     char tmpl[] = "/tmp/serve_drain_XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     const std::string dir = tmpl;
+    char name[64];
+    std::snprintf(name, sizeof(name), "/campaign_%016llx.ckpt",
+                  static_cast<unsigned long long>(40));
+    const std::string checkpoint = dir + name;
+    // Declared before the server, so it runs after the server stops,
+    // on every exit path including a failed ASSERT.
+    struct RemoveCheckpoints
+    {
+        const std::string &dir;
+        const std::string &checkpoint;
+        ~RemoveCheckpoints()
+        {
+            for (const char *suffix : {"", ".prev", ".tmp"}) {
+                ::unlink((checkpoint + suffix).c_str());
+            }
+            ::rmdir(dir.c_str());
+        }
+    } remove_checkpoints{dir, checkpoint};
     serve::CampaignServerConfig config = baseConfig();
     config.checkpoint_dir = dir;
     auto server = startServer(config);
@@ -817,10 +835,6 @@ TEST_F(ServeTest, DrainRefusesNewWorkAndCancelsCampaigns)
                     .sendFrame(FrameType::Request,
                                serve::encodeRequest(slow))
                     .ok());
-    char name[64];
-    std::snprintf(name, sizeof(name), "/campaign_%016llx.ckpt",
-                  static_cast<unsigned long long>(40));
-    const std::string checkpoint = dir + name;
     const auto give_up =
         std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (::access(checkpoint.c_str(), F_OK) != 0) {
@@ -840,10 +854,6 @@ TEST_F(ServeTest, DrainRefusesNewWorkAndCancelsCampaigns)
     // ...and the in-flight campaign cancels at its next day boundary.
     expectError(campaign.readFrame(20000), ErrorCode::ShuttingDown);
     server->stop();
-    for (const char *suffix : {"", ".prev", ".tmp"}) {
-        ::unlink((checkpoint + suffix).c_str());
-    }
-    ::rmdir(dir.c_str());
 }
 
 TEST_F(ServeTest, ChurnResponseMatchesDirectRun)
