@@ -18,14 +18,17 @@
  * unobservable except through materializedCount()-class diagnostics.
  *
  * Layout: a flat open-addressing key table (the AgingStore index
- * idiom — keys are never erased, linear probing, no tombstones). The
- * first two runs — the whole configure/release lifecycle of a
- * typical unmeasured tenancy — live INLINE in the slot, so the
- * record path costs one probe and one cache line with no per-key
- * heap allocation at all; third and later runs (mitigation flip
- * churn) spill into a linked arena. Consuming a key at
- * materialisation marks the slot spent; spilled runs become garbage
- * bounded by the number of flips ever recorded.
+ * idiom — keys are never erased, linear probing, no tombstones) of
+ * 16-byte {key, history id} slots. A history is a node in one
+ * interned pool per journal: (from, activity, parent) plus the run
+ * count and first position derived from the parent. Nodes are
+ * deduplicated on (parent, from, activity), so every key that flipped
+ * at the same positions to the same activities — a tenancy's whole
+ * configured cohort — shares one chain, and the record path costs one
+ * probe plus one intern lookup with no per-key heap allocation.
+ * Consuming a key at materialisation marks the slot spent; nodes no
+ * live key reaches stay in the pool, bounded by the distinct
+ * histories ever recorded.
  *
  * Thread-safety: none. All writers (design load/wipe, element
  * materialisation) run in exclusive phases by the Device's existing
@@ -87,8 +90,9 @@ class ActivityJournal
      * bug and fatals: its activity lives in the device's live arrays.
      *
      * Header-inline: one call per configured key per design load and
-     * wipe IS the tenancy-turnover hot path, and the two-inline-run
-     * slot keeps the common case to a single cache line.
+     * wipe IS the tenancy-turnover hot path. An empty slot's history
+     * is the pool root, whose activity is the released one, so the
+     * never-journaled case needs no branch of its own.
      */
     bool
     recordIfChanged(std::uint64_t key, ElementActivity activity,
@@ -100,32 +104,22 @@ class ActivityJournal
             grow();
         }
         Slot &slot = slots_[probe(key)];
-        if (slot.count == 0) {
-            if (activity == ElementActivity{}) {
-                // Releasing a never-journaled key: no flip.
-                return false;
-            }
+        if (slot.history == kSpent) {
+            recordSpent();
+        }
+        if (nodes_[slot.history].activity == activity) {
+            return false;
+        }
+        if (slot.history == kRoot) {
             slot.key = key;
-            slot.runs[0] = pack(pos, activity);
-            slot.count = 1;
             ++used_;
             ++active_;
             if (cached_min_ != kNpos && pos < cached_min_) {
                 cached_min_ = pos;
             }
-            return true;
         }
-        if (slot.count <= 2) {
-            if (sameActivity(slot.runs[slot.count - 1], activity)) {
-                return false;
-            }
-            if (slot.count < 2) {
-                slot.runs[1] = pack(pos, activity);
-                slot.count = 2;
-                return true;
-            }
-        }
-        return recordOverflow(slot, activity, pos);
+        slot.history = intern(slot.history, pos, activity);
+        return true;
     }
 
     /**
@@ -163,92 +157,63 @@ class ActivityJournal
 
     /**
      * Shift every active run's position down by `delta` after the
-     * timeline dropped `delta` consumed segments.
+     * timeline dropped `delta` consumed segments. Walks the history
+     * pool, not the key table.
      */
     void rebase(std::uint32_t delta);
 
     /**
-     * Serialize the journal into the writer's current chunk as an
-     * exact structural clone: table geometry, occupied slots at their
-     * probe positions (spent markers included — recording against a
-     * consumed key must still be detected after a restore), the spill
-     * arena with its chain links, and the memoised compaction pin.
+     * Serialize the journal into the writer's current chunk: table
+     * geometry, the history pool (every parent id below its node's
+     * own), then the occupied slots in index order as (varint index
+     * gap, key, varint history id, 0 meaning spent). Spent markers
+     * are kept: recording against a consumed key must still be
+     * detected after a restore.
      */
     void saveState(util::SnapshotWriter &writer) const;
 
     /**
-     * Restore into a fresh journal from the reader's current chunk.
-     * Structural corruption (out-of-range slot indices, broken chain
-     * links, impossible counts) poisons the reader; returns ok().
+     * Restore into a fresh journal from the reader's current chunk,
+     * rebuilding the derived run counts, first positions and intern
+     * index. Structural corruption (counts the chunk cannot hold,
+     * parent links that do not point backwards, out-of-range or
+     * duplicated slots) poisons the reader; returns ok().
      */
     bool restoreState(util::SnapshotReader &reader);
 
   private:
     static constexpr std::uint32_t kNpos =
         static_cast<std::uint32_t>(-1);
-    /** Slot::count value marking a consumed (materialised) key. */
-    static constexpr std::uint32_t kSpent =
-        static_cast<std::uint32_t>(-2);
+    /** Pool id of the empty history: a zero-filled slot is empty. */
+    static constexpr std::uint32_t kRoot = 0;
+    /** Slot::history value marking a consumed (materialised) key. */
+    static constexpr std::uint32_t kSpent = kNpos;
 
     /**
-     * Trivially-copyable JournalRun so the Slot stays a POD: a
-     * freshly grown table must be zero-fillable (memset), not
-     * constructor-initialised — at fleet scale the rehash's
-     * value-initialisation otherwise dominates the whole record path.
-     * kind == 0 is Activity::Unused, so zero-filled slots read as
-     * empty/benign.
-     */
-    struct RawRun
-    {
-        std::uint32_t from;
-        Activity kind;
-        double duty_one;
-    };
-
-    static RawRun
-    pack(std::uint32_t from, const ElementActivity &activity)
-    {
-        return RawRun{from, activity.kind, activity.duty_one};
-    }
-
-    static JournalRun
-    unpack(const RawRun &raw)
-    {
-        return JournalRun{raw.from,
-                          ElementActivity{raw.kind, raw.duty_one}};
-    }
-
-    static bool
-    sameActivity(const RawRun &raw, const ElementActivity &activity)
-    {
-        return raw.kind == activity.kind &&
-               raw.duty_one == activity.duty_one;
-    }
-
-    /**
-     * Key-table slot, trivial and probe-ordered: the probe loop reads
-     * only the leading key/count fields; the run payload sits behind
-     * them. The first two runs are inline — a tenancy that configures
-     * and releases a key never touches the arena — and runs three and
-     * up chain through arena nodes at `head`/`tail` (meaningful only
-     * when count > 2; zero elsewhere). count == 0 marks an empty
-     * slot, count == kSpent a consumed key.
+     * Key-table slot, trivial so a freshly grown table is zero-filled
+     * (memset), not constructor-initialised — at fleet scale the
+     * rehash's value-initialisation otherwise dominates the record
+     * path. history == kRoot marks an empty slot, kSpent a consumed
+     * key.
      */
     struct Slot
     {
         std::uint64_t key;
-        std::uint32_t count;
-        std::uint32_t head;
-        std::uint32_t tail;
-        RawRun runs[2];
+        std::uint32_t history;
     };
-    static_assert(std::is_trivially_copyable_v<Slot>);
+    static_assert(std::is_trivially_copyable_v<Slot> &&
+                  sizeof(Slot) == 16);
 
-    /** Arena node: an overflow run plus its chain link. */
+    /** History node: the run (from, activity) appended to `parent`. */
     struct Node
     {
-        RawRun run;
-        std::uint32_t next;
+        ElementActivity activity;
+        std::uint32_t from = 0;
+        std::uint32_t parent = kRoot;
+        /** Runs on the chain ending here (the root has none). */
+        std::uint32_t count = 0;
+        /** Position of the chain's first run (the compaction pin). */
+        std::uint32_t first = 0;
     };
 
     static std::uint64_t
@@ -260,13 +225,17 @@ class ActivityJournal
         return key ^ (key >> 31);
     }
 
+    /** Intern-index hash of a history node's identity. */
+    static std::uint64_t nodeHash(std::uint32_t parent, std::uint32_t from,
+                                  const ElementActivity &activity);
+
     /** Probe for key; returns slot index or the empty slot to fill. */
     std::size_t
     probe(std::uint64_t key) const
     {
         const std::size_t mask = slots_.size() - 1;
         std::size_t i = hashKey(key) & mask;
-        while (slots_[i].count != 0 && slots_[i].key != key) {
+        while (slots_[i].history != kRoot && slots_[i].key != key) {
             i = (i + 1) & mask;
         }
         return i;
@@ -278,16 +247,22 @@ class ActivityJournal
     /** Grow until `total` keys fit under the 1/2 load factor. */
     void growFor(std::size_t total);
 
-    /** Cold path of recordIfChanged: spent-key fatal and third-and-up
-     *  runs (arena spill). */
-    bool recordOverflow(Slot &slot, const ElementActivity &activity,
-                        std::uint32_t pos);
+    /** Fatal: a flip recorded against a consumed key. */
+    [[noreturn]] static void recordSpent();
 
-    /** The key's most recent run (count != 0 and not spent). */
-    const RawRun &lastRun(const Slot &slot) const;
+    /** Pool id of the history `parent` + run (from, activity),
+     *  appending the node on first use. */
+    std::uint32_t intern(std::uint32_t parent, std::uint32_t from,
+                         const ElementActivity &activity);
+
+    /** Rebuild the intern index over the pool at `size` entries. */
+    void reindex(std::size_t size);
 
     std::vector<Slot> slots_;
-    std::vector<Node> arena_;
+    /** History pool; nodes_[kRoot] is the empty, released history. */
+    std::vector<Node> nodes_ = std::vector<Node>(1);
+    /** Open-addressing intern index of pool ids (kRoot = empty). */
+    std::vector<std::uint32_t> index_;
     std::size_t used_ = 0;
     std::size_t active_ = 0;
     /** Memoised minActivePosition: first-run positions only fall

@@ -1046,6 +1046,9 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     const bool design_was_loaded = reader.u8() != 0;
 
     const std::uint64_t closed_count = reader.u64();
+    if (reader.ok() && closed_count > reader.remaining() / kSegmentBytes) {
+        reader.fail("snapshot: timeline segment count overruns its chunk");
+    }
     if (!reader.ok()) {
         return reader.status();
     }
@@ -1072,6 +1075,9 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     const double open_comp = reader.f64();
 
     const std::uint64_t element_count = reader.u64();
+    if (reader.ok() && element_count > reader.remaining() / kElementBytes) {
+        reader.fail("snapshot: element count overruns its chunk");
+    }
     if (!reader.ok()) {
         return reader.status();
     }

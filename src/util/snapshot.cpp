@@ -258,6 +258,15 @@ SnapshotWriter::span(std::size_t len)
     return SnapshotSpan(out_.data() + at, len);
 }
 
+void
+SnapshotWriter::trim(const SnapshotSpan &span)
+{
+    if (span.end_ != out_.data() + out_.size()) {
+        panic("SnapshotWriter::trim: span is not the image tail");
+    }
+    out_.resize(static_cast<std::size_t>(span.at_ - out_.data()));
+}
+
 const std::vector<std::uint8_t> &
 SnapshotWriter::finish()
 {
@@ -629,6 +638,31 @@ SnapshotReader::f64()
     double v = 0.0;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+}
+
+std::uint64_t
+SnapshotReader::varint()
+{
+    std::uint64_t v = 0;
+    for (int shift = 0; ok(); shift += 7) {
+        if (!in_chunk_ || cursor_ == payload_end_) {
+            fail("snapshot: varint runs past end of chunk payload");
+            break;
+        }
+        const std::uint8_t byte = image_[cursor_++];
+        // The tenth byte holds bit 63 alone and must end the varint.
+        if (shift == 63 && byte > 1) {
+            fail((byte & 0x80u) != 0
+                     ? "snapshot: varint longer than 10 bytes"
+                     : "snapshot: varint overflows 64 bits");
+            break;
+        }
+        v |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
+        if ((byte & 0x80u) == 0) {
+            return v;
+        }
+    }
+    return 0;
 }
 
 std::string

@@ -41,7 +41,7 @@
 namespace pentimento::util {
 
 /** Format version written to and required from every snapshot. */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** Pack a 4-char chunk tag ("BRD!") into its on-disk u32. */
 constexpr std::uint32_t
@@ -83,6 +83,20 @@ class SnapshotSpan
     void u64(std::uint64_t v) { put(v); }
     /** Bit-cast like SnapshotWriter::f64. */
     void f64(double v) { put(v); }
+
+    /**
+     * Unsigned LEB128: seven bits per byte, low group first, the high
+     * bit set on every byte but the last (1 to 10 bytes). Read back by
+     * SnapshotReader::varint.
+     */
+    void
+    varint(std::uint64_t v)
+    {
+        for (; v >= 0x80; v >>= 7) {
+            put(static_cast<std::uint8_t>(v | 0x80));
+        }
+        put(static_cast<std::uint8_t>(v));
+    }
 
   private:
     friend class SnapshotWriter;
@@ -144,10 +158,14 @@ class SnapshotWriter
 
     /**
      * Append `len` bytes and return a cursor the caller fills with
-     * exactly `len` bytes of fields. The cursor is invalidated by the
-     * next write to this writer.
+     * exactly `len` bytes of fields — or with at most `len` when the
+     * record sizes are only bounded (varints), followed by trim(). The
+     * cursor is invalidated by the next write to this writer.
      */
     SnapshotSpan span(std::size_t len);
+
+    /** Drop the bytes the last span() left unfilled. */
+    void trim(const SnapshotSpan &span);
 
     /**
      * Append the terminal END chunk and return the finished image.
@@ -219,6 +237,18 @@ class SnapshotReader
     std::uint64_t u64();
     double f64();
     std::string str();
+    /** A SnapshotSpan::varint. An encoding that runs past the chunk
+     *  payload or past 10 bytes, or overflows 64 bits, poisons the
+     *  reader. */
+    std::uint64_t varint();
+
+    /** Unread payload bytes of the current chunk (0 outside one).
+     *  Bounds a record count before anything is sized from it. */
+    std::size_t
+    remaining() const
+    {
+        return in_chunk_ && ok() ? payload_end_ - cursor_ : 0;
+    }
 
     /** Size of the whole image, file header included. */
     std::size_t imageBytes() const { return image_.size(); }

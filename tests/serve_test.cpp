@@ -1251,20 +1251,66 @@ TEST_F(FleetScanResumeTest, CorruptCheckpointFallsBackToFreshRun)
         serve::runFleetScan(scanConfig());
     ASSERT_TRUE(straight.ok()) << straight.error();
 
-    // Plant garbage where the checkpoint would be.
+    // A real checkpoint from an interrupted run, its format version
+    // byte set back to 1: a pre-v2 file must be refused, not parsed.
     const std::string path = dir_ + "/scan.ckpt";
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fputs("not a snapshot", file);
-    std::fclose(file);
+    serve::FleetScanConfig interrupted = scanConfig();
+    interrupted.checkpoint_every_days = 5;
+    interrupted.checkpoint_path = path;
+    CancelAfter cancel(12);
+    interrupted.observer = &cancel;
+    EXPECT_THROW((void)serve::runFleetScan(interrupted),
+                 util::CancelledError);
+    std::string version1;
+    if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
+        int c = 0;
+        while ((c = std::fgetc(in)) != EOF) {
+            version1.push_back(static_cast<char>(c));
+        }
+        std::fclose(in);
+    }
+    ASSERT_GT(version1.size(), 16u);
+    ASSERT_EQ(version1[8], 2);
+    version1[8] = 1;
 
-    serve::FleetScanConfig config = scanConfig();
-    config.checkpoint_path = path;
-    const util::Expected<serve::FleetScanResult> result =
-        serve::runFleetScan(config);
-    ASSERT_TRUE(result.ok()) << result.error();
-    EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
-              serve::encodeFleetScanResult(1, straight.value()));
+    struct Input
+    {
+        const char *name;
+        std::string bytes;
+        const char *require_error;
+    };
+    const Input inputs[] = {
+        {"garbage", "not a snapshot", "shorter than header"},
+        {"version 1", version1, "unsupported format version"},
+    };
+    for (const Input &input : inputs) {
+        SCOPED_TRACE(input.name);
+        // Plant the input where the checkpoint would be, with no
+        // .prev generation to fall back to.
+        ::unlink((path + ".prev").c_str());
+        std::FILE *file = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        std::fwrite(input.bytes.data(), 1, input.bytes.size(), file);
+        std::fclose(file);
+
+        serve::FleetScanConfig required = scanConfig();
+        required.checkpoint_path = path;
+        required.resume = serve::ResumeMode::Require;
+        const util::Expected<serve::FleetScanResult> refused =
+            serve::runFleetScan(required);
+        ASSERT_FALSE(refused.ok());
+        EXPECT_NE(refused.error().find(input.require_error),
+                  std::string::npos)
+            << refused.error();
+
+        serve::FleetScanConfig config = scanConfig();
+        config.checkpoint_path = path;
+        const util::Expected<serve::FleetScanResult> result =
+            serve::runFleetScan(config);
+        ASSERT_TRUE(result.ok()) << result.error();
+        EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
+                  serve::encodeFleetScanResult(1, straight.value()));
+    }
 }
 
 TEST_F(FleetScanResumeTest, ConfigSkewIgnoresTheCheckpoint)

@@ -10,7 +10,7 @@
  *
  * The state half locks round-trip bit-identity: checkpoints are taken
  * at deliberately adversarial points (mid-tenancy with a resident
- * design, pending journal runs spilled into the arena, an open
+ * design, a pending five-run journal history, an open
  * timeline segment, un-flushed deferred idle time) and every delay,
  * temperature, and RNG draw after restore must EQ — not NEAR — the
  * straight-through run. Satellites ride along: the AgingStore rehash
@@ -316,6 +316,33 @@ TEST(SnapshotFormat, StaleVersionRejected)
     ASSERT_FALSE(made.ok());
     EXPECT_NE(made.error().find("version"), std::string::npos)
         << made.error();
+}
+
+TEST(SnapshotFormat, VarintRoundTripsAtEveryLength)
+{
+    std::vector<std::uint64_t> values{0, 1};
+    for (int bits = 7; bits < 64; bits += 7) {
+        values.push_back((std::uint64_t{1} << bits) - 1);
+        values.push_back(std::uint64_t{1} << bits);
+    }
+    values.push_back(~std::uint64_t{0});
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kTag1);
+    pu::SnapshotSpan span = writer.span(10 * values.size() + 10);
+    for (const std::uint64_t v : values) {
+        span.varint(v);
+    }
+    writer.trim(span);
+    writer.endChunk();
+    pu::Expected<pu::SnapshotReader> made =
+        pu::SnapshotReader::fromBuffer(writer.finish());
+    ASSERT_TRUE(made.ok());
+    pu::SnapshotReader &reader = made.value();
+    ASSERT_TRUE(reader.enterChunk(kTag1));
+    for (const std::uint64_t v : values) {
+        EXPECT_EQ(reader.varint(), v);
+    }
+    EXPECT_TRUE(reader.leaveChunk()) << reader.error();
 }
 
 TEST(SnapshotFormat, ReservedFlagsRejected)
@@ -925,6 +952,55 @@ TEST(SnapshotDevice, CorruptImageNeverAborts)
     }
 }
 
+// A CRC-valid device image whose segment or element count claims
+// 2^61 records must fail by name before anything is reserved for them.
+TEST(SnapshotDevice, HugeRecordCountsAreRejected)
+{
+    pf::Device source(tinyConfig(9));
+    const pf::RouteSpec r = source.allocateRoute("r", 500.0);
+    auto d = std::make_shared<pf::Design>("d");
+    d->setRouteValue(r, true);
+    source.loadDesign(d);
+    source.advanceAt(20.0, 350.0);
+    (void)source.element(r.elements.front());
+    const std::vector<std::uint8_t> image = saveDeviceImage(source);
+
+    // Payload: family string, 45 fingerprint bytes, 57 clock bytes,
+    // then the segment count; the element count follows the closed
+    // segments (24 bytes each) and the 33-byte open segment.
+    std::uint64_t family_len = 0;
+    std::memcpy(&family_len, image.data() + 32, sizeof(family_len));
+    const std::size_t segments_at = 32 + 8 + family_len + 45 + 57;
+    std::uint64_t segments = 0;
+    std::memcpy(&segments, image.data() + segments_at, sizeof(segments));
+    const std::size_t elements_at = segments_at + 8 + 24 * segments + 33;
+    std::uint64_t elements = 0;
+    std::memcpy(&elements, image.data() + elements_at, sizeof(elements));
+    ASSERT_GT(elements, 0u);
+
+    const struct
+    {
+        std::size_t at;
+        const char *error;
+    } rows[] = {{segments_at, "segment count overruns"},
+                {elements_at, "element count overruns"}};
+    for (const auto &row : rows) {
+        std::vector<std::uint8_t> corrupt = image;
+        const std::uint64_t huge = std::uint64_t{1} << 61;
+        std::memcpy(corrupt.data() + row.at, &huge, sizeof(huge));
+        const ChunkSpan chunk = chunkSpans(corrupt).front();
+        const std::uint32_t crc = pu::crc32c(corrupt.data() + chunk.begin,
+                                             chunk.end - 4 - chunk.begin);
+        std::memcpy(corrupt.data() + chunk.end - 4, &crc, sizeof(crc));
+        pf::Device target(tinyConfig(9));
+        const pu::Expected<void> result =
+            restoreDeviceImage(std::move(corrupt), target);
+        ASSERT_FALSE(result.ok()) << row.error;
+        EXPECT_NE(result.error().find(row.error), std::string::npos)
+            << result.error();
+    }
+}
+
 TEST(SnapshotDevice, AgingStoreRehashRoundTrip)
 {
     // Materialise past one slab chunk (1024) so the open-addressing
@@ -1010,11 +1086,258 @@ TEST(SnapshotDevice, JournalUsedCountMustMatchOccupiedSlots)
         << reader.error();
 }
 
+// ------------------------------------------- journal section (v2)
+
+namespace {
+
+/** Little-endian builder for hand-crafted journal sections. */
+struct SectionBytes
+{
+    std::vector<std::uint8_t> bytes;
+
+    SectionBytes &
+    u8(std::uint8_t v)
+    {
+        bytes.push_back(v);
+        return *this;
+    }
+    SectionBytes &
+    u32(std::uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i, v >>= 8) {
+            u8(static_cast<std::uint8_t>(v));
+        }
+        return *this;
+    }
+    SectionBytes &
+    u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i, v >>= 8) {
+            u8(static_cast<std::uint8_t>(v));
+        }
+        return *this;
+    }
+    SectionBytes &
+    varint(std::uint64_t v)
+    {
+        for (; v >= 0x80; v >>= 7) {
+            u8(static_cast<std::uint8_t>(v | 0x80));
+        }
+        return u8(static_cast<std::uint8_t>(v));
+    }
+    /** Geometry: table size, used and active counts. */
+    SectionBytes &
+    geometry(std::uint64_t table, std::uint64_t used, std::uint64_t active)
+    {
+        return u64(table).u64(used).u64(active);
+    }
+    /** A Hold1 history node at position `from` under `parent`. */
+    SectionBytes &
+    node(std::uint32_t from, std::uint32_t parent)
+    {
+        u32(from).u8(static_cast<std::uint8_t>(pf::Activity::Hold1));
+        const double duty = 0.5;
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &duty, sizeof(bits));
+        return u64(bits).u32(parent);
+    }
+    SectionBytes &
+    slot(std::uint64_t gap, std::uint64_t key, std::uint64_t history)
+    {
+        return varint(gap).u64(key).varint(history);
+    }
+};
+
+/** Restore `section` as the whole payload of one chunk; returns the
+ *  reader's error ("" when the restore and the chunk close succeed). */
+std::string
+journalRestoreError(const std::vector<std::uint8_t> &section)
+{
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kTag1);
+    for (const std::uint8_t b : section) {
+        writer.u8(b);
+    }
+    writer.endChunk();
+    pu::Expected<pu::SnapshotReader> made =
+        pu::SnapshotReader::fromBuffer(writer.finish());
+    if (!made.ok()) {
+        return made.error();
+    }
+    pu::SnapshotReader &reader = made.value();
+    pf::ActivityJournal journal;
+    if (reader.enterChunk(kTag1) && journal.restoreState(reader)) {
+        reader.leaveChunk();
+    }
+    return reader.error();
+}
+
+/** Save a journal alone into one chunk. */
+std::vector<std::uint8_t>
+journalImage(const pf::ActivityJournal &journal)
+{
+    pu::SnapshotWriter writer;
+    writer.beginChunk(kTag1);
+    journal.saveState(writer);
+    writer.endChunk();
+    return writer.finish();
+}
+
+} // namespace
+
+// CRC-valid journal sections built to attack the restore: each must
+// come back as a named error — no allocation sized from a bogus
+// count, no walk that never reaches the root.
+TEST(SnapshotJournal, HostileSectionsAreRejected)
+{
+    struct Row
+    {
+        const char *name;
+        std::vector<std::uint8_t> section;
+        const char *error; // "" = must restore
+    };
+    std::vector<Row> rows;
+    {
+        SectionBytes b;
+        b.geometry(256, 2, 1).u64(2).node(0, 0).node(1, 1);
+        b.u64(2).slot(5, 11, 2).slot(3, 12, 0);
+        rows.push_back({"well-formed", b.bytes, ""});
+        b.u8(0);
+        rows.push_back({"trailing bytes after the slots", b.bytes,
+                        "not fully consumed"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(std::uint64_t{1} << 61, 0, 0).u64(0).u64(0);
+        rows.push_back({"table size 2^61", b.bytes, "geometry"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 0, 0).u64(std::uint64_t{1} << 61);
+        rows.push_back({"history count 2^61", b.bytes, "history count"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 0, 0).u64(1).node(0, 1).u64(0);
+        rows.push_back({"self parent", b.bytes, "parent is not below"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 0, 0).u64(2).node(0, 2).node(1, 0).u64(0);
+        rows.push_back({"forward parent", b.bytes, "parent is not below"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 1, 1).u64(1).node(0, 0).u64(1).slot(5, 11, 2);
+        rows.push_back({"slot history id >= node count", b.bytes,
+                        "history out of range"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 2, 2).u64(1).node(0, 0).u64(2);
+        b.slot(5, 11, 1).slot(0, 12, 1);
+        rows.push_back({"duplicate slot index", b.bytes, "duplicated"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 1, 1).u64(1).node(0, 0).u64(1).slot(256, 11, 1);
+        rows.push_back({"slot index past the table", b.bytes,
+                        "duplicated"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 1, 1).u64(1).node(0, 0).u64(1);
+        b.varint(5).u64(11).u8(0x81);
+        rows.push_back({"unterminated varint", b.bytes, "runs past end"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 1, 1).u64(1).node(0, 0).u64(1);
+        for (int i = 0; i < 10; ++i) {
+            b.u8(0xff);
+        }
+        b.u8(0x01).u64(11).varint(1);
+        rows.push_back({"11-byte varint", b.bytes, "longer than 10 bytes"});
+    }
+    {
+        SectionBytes b;
+        b.geometry(256, 1, 1).u64(1).node(0, 0).u64(1);
+        for (int i = 0; i < 9; ++i) {
+            b.u8(0xff);
+        }
+        b.u8(0x02).u64(11).varint(1);
+        rows.push_back({"varint past 64 bits", b.bytes, "overflows"});
+    }
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        const std::string error = journalRestoreError(row.section);
+        if (*row.error == '\0') {
+            EXPECT_EQ(error, "");
+        } else {
+            EXPECT_NE(error.find(row.error), std::string::npos) << error;
+        }
+    }
+}
+
+TEST(SnapshotJournal, SectionTakesAtMostTwelveBytesPerKey)
+{
+    // Twenty tenancies on a small device's key range, each loading
+    // 1,200 deferred keys (held and toggling) and then wiping them.
+    // Neighbouring placements overlap by half, so keys carry histories
+    // of different depths.
+    pf::ActivityJournal journal;
+    for (std::uint32_t t = 0; t < 20; ++t) {
+        const std::uint64_t first = 0x4000 + 600 * std::uint64_t{t};
+        for (std::uint64_t key = first; key < first + 1200; ++key) {
+            const pf::ElementActivity activity =
+                key % 2 == 0
+                    ? pf::ElementActivity{pf::Activity::Hold1}
+                    : pf::ElementActivity{pf::Activity::Toggle, 0.3};
+            ASSERT_TRUE(journal.recordIfChanged(key, activity, 2 * t));
+        }
+        for (std::uint64_t key = first; key < first + 1200; ++key) {
+            ASSERT_TRUE(
+                journal.recordIfChanged(key, pf::ElementActivity{},
+                                        2 * t + 1));
+        }
+    }
+    const std::size_t keys = journal.activeKeyCount();
+    ASSERT_EQ(keys, 12600u);
+
+    const std::vector<std::uint8_t> image = journalImage(journal);
+    const ChunkSpan chunk = chunkSpans(image).front();
+    const std::size_t section = chunk.end - chunk.begin - 16 - 4;
+    EXPECT_LE(section, 12 * keys) << section << " bytes for " << keys
+                                  << " keys";
+
+    // The compact form restores every key's full run list.
+    pu::Expected<pu::SnapshotReader> made =
+        pu::SnapshotReader::fromBuffer(image);
+    ASSERT_TRUE(made.ok());
+    pu::SnapshotReader &reader = made.value();
+    ASSERT_TRUE(reader.enterChunk(kTag1));
+    pf::ActivityJournal restored;
+    ASSERT_TRUE(restored.restoreState(reader)) << reader.error();
+    ASSERT_TRUE(reader.leaveChunk()) << reader.error();
+    const std::vector<std::uint64_t> active = journal.activeKeys();
+    ASSERT_EQ(restored.activeKeys(), active);
+    EXPECT_EQ(restored.minActivePosition(99), journal.minActivePosition(99));
+    for (const std::uint64_t key : active) {
+        const std::vector<pf::JournalRun> a = journal.consume(key);
+        const std::vector<pf::JournalRun> b = restored.consume(key);
+        ASSERT_EQ(a.size(), b.size()) << key;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].from, b[i].from);
+            EXPECT_EQ(a[i].activity, b[i].activity);
+        }
+    }
+    EXPECT_EQ(journalImage(restored), journalImage(journal));
+}
+
 TEST(SnapshotDevice, SpillArenaRestoreThenLateKeyAndWear)
 {
-    // Five activity changes on the same never-observed key push its
-    // run list past the two inline slots into the spill arena; the
-    // checkpoint lands mid-pending.
+    // Five activity changes on the same never-observed key give it a
+    // five-node history chain; the checkpoint lands mid-pending.
     pf::Device straight(tinyConfig(99));
     const pf::RouteSpec rx = straight.allocateRoute("x", 500.0);
     std::vector<std::shared_ptr<pf::Design>> designs;
@@ -1037,8 +1360,8 @@ TEST(SnapshotDevice, SpillArenaRestoreThenLateKeyAndWear)
     ASSERT_TRUE(result.ok()) << result.error();
 
     // Immediately after restore: configure a brand-new key alongside
-    // the spilled one, then a whole-fabric service-wear sweep — the
-    // orderings most likely to trip a mis-restored arena link or pin.
+    // the five-run one, then a whole-fabric service-wear sweep — the
+    // orderings most likely to trip a mis-restored history link or pin.
     const auto continuation = [&](pf::Device &device) {
         std::vector<double> obs;
         device.loadDesign(designs.back());
@@ -1356,21 +1679,22 @@ haltedCheckpointStamp(const std::string &leaf, bool stress_and_bram)
 
 } // namespace
 
-// The serializers write fixed-layout records straight into a pre-sized
-// buffer; these stamps (recorded from the field-at-a-time writer) lock
-// that the checkpoint bytes themselves never change.
+// The serializers write records straight into a pre-sized buffer;
+// these stamps lock the format v2 checkpoint bytes themselves. A
+// serializer change that moves a byte must bump kSnapshotVersion and
+// re-pin them.
 TEST(SnapshotImage, HaltedFleetCheckpointIsByteIdentical)
 {
     const ImageStamp stamp =
         haltedCheckpointStamp("snap_pin_plain.ckpt", false);
-    EXPECT_EQ(stamp.size, 286330u);
-    EXPECT_EQ(stamp.fnv1a, 0xdc0fdf859464b8faULL);
+    EXPECT_EQ(stamp.size, 93536u);
+    EXPECT_EQ(stamp.fnv1a, 0x262384c6e1468888ULL);
 }
 
 TEST(SnapshotImage, HaltedStressBramCheckpointIsByteIdentical)
 {
     const ImageStamp stamp =
         haltedCheckpointStamp("snap_pin_stress.ckpt", true);
-    EXPECT_EQ(stamp.size, 450570u);
-    EXPECT_EQ(stamp.fnv1a, 0xe8704322ab2d7e36ULL);
+    EXPECT_EQ(stamp.size, 95154u);
+    EXPECT_EQ(stamp.fnv1a, 0x4537353a697bf7e9ULL);
 }
