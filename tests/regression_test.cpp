@@ -12,15 +12,24 @@
  *  - Worker-count invariance of the dense aging sweep and the
  *    measurement sweep: 1 lane vs 4 lanes, bit-identical.
  *  - materializedIds() determinism: sorted by packed key.
+ *  - Driver pins: an FNV-1a digest over every field of the results of
+ *    Experiments 1-3 and the TM1/TM2 facades, at 1 and 3 lanes, so a
+ *    change to the shared condition/measure schedule cannot move a
+ *    single output bit unnoticed.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/attack.hpp"
 #include "core/experiment.hpp"
+#include "core/presets.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "phys/thermal.hpp"
@@ -30,6 +39,7 @@
 #include "util/rng.hpp"
 
 namespace pc = pentimento::core;
+namespace pcl = pentimento::cloud;
 namespace pf = pentimento::fabric;
 namespace pp = pentimento::phys;
 namespace pt = pentimento::tdc;
@@ -430,6 +440,205 @@ TEST(MaterializedIds, SortedByPackedKey)
         [](const pf::ResourceId &a, const pf::ResourceId &b) {
             return a.key() < b.key();
         }));
+}
+
+// ------------------------------------------------- driver pins
+
+/** 64-bit FNV-1a over the bytes of every field fed to it. */
+class Fnv1a
+{
+  public:
+    void
+    bytes(const void *data, std::size_t size)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+        }
+    }
+
+    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+
+    void
+    f64(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        u64(bits);
+    }
+
+    void
+    str(const std::string &s)
+    {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    }
+
+    void
+    bits(const std::vector<bool> &v)
+    {
+        u64(v.size());
+        for (const bool b : v) {
+            u64(b ? 1 : 0);
+        }
+    }
+
+    void
+    result(const pc::ExperimentResult &r)
+    {
+        u64(r.routes.size());
+        for (const pc::RouteRecord &route : r.routes) {
+            str(route.name);
+            f64(route.target_ps);
+            u64(route.burn_value ? 1 : 0);
+            u64(route.series.size());
+            for (std::size_t k = 0; k < route.series.size(); ++k) {
+                f64(route.series.hours()[k]);
+                f64(route.series.values()[k]);
+            }
+        }
+        f64(r.condition_hours);
+        f64(r.measure_seconds);
+        u64(r.sweeps);
+    }
+
+    void
+    classification(const pc::ClassificationReport &c)
+    {
+        u64(c.bits.size());
+        for (const pc::BitEstimate &bit : c.bits) {
+            u64(bit.value ? 1 : 0);
+            f64(bit.statistic);
+            f64(bit.confidence);
+        }
+        u64(c.correct);
+        f64(c.accuracy);
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+pcl::PlatformConfig
+pinRegion(std::uint64_t seed, std::size_t fleet)
+{
+    pcl::PlatformConfig region = pc::awsF1Region(seed);
+    region.fleet_size = fleet;
+    return region;
+}
+
+/** Run a pinned driver serially and on a 3-lane pool. */
+template <typename Run>
+void
+expectPinned(std::uint64_t pin, Run &&run)
+{
+    EXPECT_EQ(run(nullptr), pin) << "serial";
+    pu::ThreadPool pool(3);
+    EXPECT_EQ(run(&pool), pin) << "3 lanes";
+}
+
+TEST(DriverPins, Experiment1FractionalCadence)
+{
+    // 0.7 h steps accumulate rounding across the burn and carry it
+    // into the recovery span.
+    expectPinned(0x333d5da09f4b295dULL, [](pu::ThreadPool *pool) {
+        pc::Experiment1Config config = goldenConfig();
+        config.measure_every_h = 0.7;
+        config.pool = pool;
+        Fnv1a h;
+        h.result(pc::runExperiment1(config));
+        return h.value();
+    });
+}
+
+TEST(DriverPins, Experiment2)
+{
+    expectPinned(0xf1fa05a684fd5f21ULL, [](pu::ThreadPool *pool) {
+        pc::Experiment2Config config;
+        config.groups = {{1000.0, 2}, {2000.0, 2}};
+        config.burn_hours = 7.0;
+        config.measure_every_h = 2.0;
+        config.platform = pinRegion(51, 2);
+        config.arith.dsp_count = 8;
+        config.seed = 5151;
+        config.pool = pool;
+        Fnv1a h;
+        h.result(pc::runExperiment2(config));
+        return h.value();
+    });
+}
+
+TEST(DriverPins, Experiment3WaitAndParkOne)
+{
+    expectPinned(0x89419c323c14b1f0ULL, [](pu::ThreadPool *pool) {
+        pc::Experiment3Config config;
+        config.groups = {{1000.0, 2}, {2000.0, 2}};
+        config.burn_hours = 20.0;
+        config.recovery_hours = 5.0;
+        config.measure_every_h = 2.0;
+        config.attacker_wait_h = 3.0;
+        config.park_value = true;
+        config.platform = pinRegion(52, 2);
+        config.arith.dsp_count = 8;
+        config.seed = 5252;
+        config.pool = pool;
+        Fnv1a h;
+        h.result(pc::runExperiment3(config));
+        return h.value();
+    });
+}
+
+TEST(DriverPins, Tm1Extraction)
+{
+    expectPinned(0x1fe525da3d712648ULL, [](pu::ThreadPool *pool) {
+        pcl::CloudPlatform platform(pinRegion(53, 2));
+        pf::Device scratch(pc::awsF1Silicon(7));
+        const pc::SecretBundle bundle = pc::makeSecretTarget(
+            scratch, {true, false, true, false}, 2000.0, "pin_afi");
+        const std::string afi_id = platform.marketplace().publish(
+            "vendor", bundle.design, bundle.skeleton);
+        pc::Tm1Options options;
+        options.burn_hours = 9.0;
+        options.measure_every_h = 2.5;
+        options.seed = 5353;
+        options.pool = pool;
+        const pc::Tm1Report report =
+            pc::extractDesignData(platform, afi_id, options);
+        Fnv1a h;
+        h.str(report.instance_id);
+        h.result(report.result);
+        h.classification(report.classification);
+        h.bits(report.recovered_bits);
+        return h.value();
+    });
+}
+
+TEST(DriverPins, Tm2Recovery)
+{
+    expectPinned(0xfeb7323fc4a9e355ULL, [](pu::ThreadPool *pool) {
+        pcl::CloudPlatform platform(pinRegion(54, 2));
+        pc::Tm2Options options;
+        options.victim_hours = 30.0;
+        options.recovery_hours = 5.0;
+        options.measure_every_h = 1.5;
+        options.route_ps = 2000.0;
+        options.seed = 5454;
+        options.pool = pool;
+        const pc::Tm2Report report = pc::recoverUserData(
+            platform, {true, true, false, true}, options);
+        Fnv1a h;
+        h.str(report.victim_instance);
+        h.str(report.attacker_instance);
+        h.u64(report.reacquired_same_board ? 1 : 0);
+        h.f64(report.fingerprint_similarity);
+        h.u64(report.flash_rented);
+        h.result(report.result);
+        h.classification(report.classification);
+        h.bits(report.recovered_bits);
+        return h.value();
+    });
 }
 
 } // namespace
