@@ -16,7 +16,7 @@
 #include <memory>
 
 #include "core/classifier.hpp"
-#include "core/delta_series.hpp"
+#include "core/experiment.hpp"
 #include "core/presets.hpp"
 #include "fabric/design.hpp"
 #include "opentitan/assets.hpp"
@@ -44,8 +44,7 @@ attackAsset(const opentitan::AssetInfo &asset, std::size_t max_bits,
     region.fleet_size = 1;
     cloud::CloudPlatform platform(region);
     const auto rented = platform.rent();
-    cloud::FpgaInstance &inst = platform.instance(*rented);
-    fabric::Device &device = inst.device();
+    fabric::Device &device = platform.instance(*rented).device();
     util::Rng rng(seed);
 
     // Synthesize the asset's routes; sample a subset of the bus for
@@ -64,41 +63,26 @@ attackAsset(const opentitan::AssetInfo &asset, std::size_t max_bits,
 
     auto victim = std::make_shared<fabric::TargetDesign>(
         "opentitan_" + std::to_string(asset.index), specs, secret);
-    auto measure =
-        std::make_shared<tdc::MeasureDesign>(device, specs);
-    platform.loadDesign(*rented, measure);
-    measure->calibrateAll(inst.dieTempK(), inst.rng());
-
-    std::vector<core::DeltaSeries> raw(specs.size());
-    const auto measureNow = [&](double hour) {
-        platform.loadDesign(*rented, measure);
-        platform.advanceHours(core::kMeasureSettleHours);
-        const auto sweep =
-            measure->measureAll(inst.dieTempK(), inst.rng());
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-            raw[i].addPoint(hour, sweep.per_route[i].deltaPs());
-        }
+    const auto measure =
+        core::calibrateOnPlatform(platform, *rented, specs, {}, nullptr);
+    core::SweepRecorder recorder(specs.size());
+    const auto sweep = [&](double hour) {
+        recorder.record(hour, core::measureOnPlatform(platform, *rented,
+                                                      measure, nullptr));
     };
-    measureNow(0.0);
-    for (int h = 0; h < 100; ++h) {
-        platform.loadDesign(*rented, victim);
-        platform.advanceHours(2.0 - core::kMeasureSettleHours);
-        measureNow(2.0 * (h + 1));
-    }
+    sweep(0.0);
+    const double hours = core::runSchedule(
+        0.0, 200.0, 2.0,
+        [&](double, double dt) {
+            core::loadChecked(platform, *rented, victim, "victim design");
+            platform.advanceHours(dt - core::kMeasureSettleHours);
+        },
+        sweep);
     platform.release(*rented);
 
-    core::ExperimentResult result;
-    result.condition_hours = 200.0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        core::RouteRecord record;
-        record.name = specs[i].name;
-        record.target_ps = specs[i].target_ps;
-        record.burn_value = secret[i];
-        record.series = raw[i].centeredAtFirst();
-        result.routes.push_back(std::move(record));
-    }
     // Routes differ per bit; classify each on its own drift sign.
-    const auto report = core::ThreatModel1Classifier().classify(result);
+    const auto report = core::ThreatModel1Classifier().classify(
+        recorder.result(specs, secret, hours));
 
     opentitan::AttackScenario scenario;
     scenario.burn_hours = 200.0;

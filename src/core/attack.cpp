@@ -27,6 +27,21 @@ makeSecretTarget(fabric::Device &device, const std::vector<bool> &secret,
     return bundle;
 }
 
+namespace {
+
+/** Classify a facade's result and read the recovered bits off it. */
+template <typename Report, typename Classifier>
+void
+classifyInto(Report &report, const Classifier &classifier)
+{
+    report.classification = classifier.classify(report.result);
+    for (const BitEstimate &bit : report.classification.bits) {
+        report.recovered_bits.push_back(bit.value);
+    }
+}
+
+} // namespace
+
 Tm1Report
 extractDesignData(cloud::CloudPlatform &platform,
                   const std::string &afi_id, const Tm1Options &options)
@@ -44,76 +59,39 @@ extractDesignData(cloud::CloudPlatform &platform,
     }
     Tm1Report report;
     report.instance_id = *rented;
-    cloud::FpgaInstance &inst = platform.instance(*rented);
-    fabric::Device &device = inst.device();
+    fabric::Device &device = platform.instance(*rented).device();
     device.setWorkPool(options.pool);
 
-    auto measure = std::make_shared<tdc::MeasureDesign>(
-        device, record.skeleton, options.tdc);
-    if (!platform.loadDesign(*rented, measure).empty()) {
-        util::fatal("extractDesignData: measure design failed DRC");
-    }
-    measure->calibrateAll(inst.dieTempK(), inst.rng(), options.pool);
+    const auto measure = calibrateOnPlatform(
+        platform, *rented, record.skeleton, options.tdc, options.pool);
+    SweepRecorder recorder(record.skeleton.size());
+    const auto sweep = [&](double hour) {
+        recorder.record(hour, measureOnPlatform(platform, *rented, measure,
+                                                options.pool));
+    };
+    sweep(0.0);
+    const double hour = runSchedule(
+        0.0, options.burn_hours, options.measure_every_h,
+        [&](double, double dt) {
+            loadChecked(platform, *rented, record.design,
+                        "extractDesignData: AFI");
+            platform.advanceHours(std::max(0.0, dt - kMeasureSettleHours));
+        },
+        sweep);
+    platform.release(*rented);
+    device.setWorkPool(nullptr);
 
     // Ground truth for scoring (never consulted by the attack path).
     const auto *target =
         dynamic_cast<const fabric::TargetDesign *>(record.design.get());
-
-    std::vector<DeltaSeries> raw(record.skeleton.size());
-    double measure_seconds = 0.0;
-    std::size_t sweeps = 0;
-    const auto measureNow = [&](double hour) {
-        if (!platform.loadDesign(*rented, measure).empty()) {
-            util::fatal("extractDesignData: measure DRC failure");
-        }
-        platform.advanceHours(kMeasureSettleHours);
-        const tdc::MeasurementSweep sweep = measure->measureAll(
-            inst.dieTempK(), inst.rng(), options.pool);
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-            raw[i].addPoint(hour, sweep.per_route[i].deltaPs());
-        }
-        measure_seconds += sweep.wall_seconds;
-        ++sweeps;
-    };
-    measureNow(0.0);
-
-    double hour = 0.0;
-    while (hour < options.burn_hours - 1e-9) {
-        const double dt = std::min(options.measure_every_h,
-                                   options.burn_hours - hour);
-        if (!platform.loadDesign(*rented, record.design).empty()) {
-            util::fatal("extractDesignData: AFI failed DRC");
-        }
-        platform.advanceHours(
-            std::max(0.0, dt - kMeasureSettleHours));
-        hour += dt;
-        measureNow(hour);
+    std::vector<bool> truth(record.skeleton.size(), false);
+    for (std::size_t i = 0; target != nullptr && i < truth.size() &&
+                            i < target->routeCount();
+         ++i) {
+        truth[i] = target->burnValue(i);
     }
-    platform.release(*rented);
-    device.setWorkPool(nullptr);
-
-    report.result.condition_hours = hour;
-    report.result.measure_seconds = measure_seconds;
-    report.result.sweeps = sweeps;
-    report.result.routes.reserve(record.skeleton.size());
-    for (std::size_t i = 0; i < record.skeleton.size(); ++i) {
-        RouteRecord route;
-        route.name = record.skeleton[i].name;
-        route.target_ps = record.skeleton[i].target_ps;
-        route.burn_value =
-            target != nullptr && i < target->routeCount()
-                ? target->burnValue(i)
-                : false;
-        route.series = raw[i].centeredAtFirst();
-        report.result.routes.push_back(std::move(route));
-    }
-
-    report.classification =
-        ThreatModel1Classifier().classify(report.result);
-    report.recovered_bits.reserve(report.classification.bits.size());
-    for (const BitEstimate &bit : report.classification.bits) {
-        report.recovered_bits.push_back(bit.value);
-    }
+    report.result = recorder.result(record.skeleton, truth, hour);
+    classifyInto(report, ThreatModel1Classifier());
     return report;
 }
 
@@ -141,12 +119,11 @@ recoverUserData(cloud::CloudPlatform &platform,
         util::fatal("recoverUserData: region exhausted for victim");
     }
     report.victim_instance = *victim;
-    cloud::FpgaInstance &victim_inst = platform.instance(*victim);
-    SecretBundle bundle = makeSecretTarget(
-        victim_inst.device(), secret, options.route_ps, "victim_design");
-    if (!platform.loadDesign(*victim, bundle.design).empty()) {
-        util::fatal("recoverUserData: victim design failed DRC");
-    }
+    SecretBundle bundle =
+        makeSecretTarget(platform.instance(*victim).device(), secret,
+                         options.route_ps, "victim_design");
+    loadChecked(platform, *victim, bundle.design,
+                "recoverUserData: victim design");
     platform.advanceHours(options.victim_hours);
     platform.release(*victim);
 
@@ -178,74 +155,33 @@ recoverUserData(cloud::CloudPlatform &platform,
     report.reacquired_same_board = best_id == report.victim_instance;
 
     // ---- Recovery measurement on the re-acquired board.
-    cloud::FpgaInstance &att_inst = platform.instance(best_id);
-    fabric::Device &device = att_inst.device();
+    fabric::Device &device = platform.instance(best_id).device();
     device.setWorkPool(options.pool);
-    auto measure = std::make_shared<tdc::MeasureDesign>(
-        device, bundle.skeleton, options.tdc);
-    if (!platform.loadDesign(best_id, measure).empty()) {
-        util::fatal("recoverUserData: measure design failed DRC");
-    }
-    measure->calibrateAll(att_inst.dieTempK(), att_inst.rng(),
-                          options.pool);
+    const auto measure = calibrateOnPlatform(
+        platform, best_id, bundle.skeleton, options.tdc, options.pool);
+    const auto park = makeParkDesign("attacker_park", bundle.skeleton,
+                                     options.park_value);
 
-    auto park = std::make_shared<fabric::Design>("attacker_park");
-    for (const fabric::RouteSpec &spec : bundle.skeleton) {
-        park->setRouteValue(spec, options.park_value);
-    }
-    park->setPowerW(2.0);
-
-    std::vector<DeltaSeries> raw(bundle.skeleton.size());
-    double measure_seconds = 0.0;
-    std::size_t sweeps = 0;
-    const auto measureNow = [&](double hour) {
-        if (!platform.loadDesign(best_id, measure).empty()) {
-            util::fatal("recoverUserData: measure DRC failure");
-        }
-        platform.advanceHours(kMeasureSettleHours);
-        const tdc::MeasurementSweep sweep = measure->measureAll(
-            att_inst.dieTempK(), att_inst.rng(), options.pool);
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-            raw[i].addPoint(hour, sweep.per_route[i].deltaPs());
-        }
-        measure_seconds += sweep.wall_seconds;
-        ++sweeps;
+    SweepRecorder recorder(bundle.skeleton.size());
+    const auto sweep = [&](double hour) {
+        recorder.record(hour, measureOnPlatform(platform, best_id, measure,
+                                                options.pool));
     };
-    measureNow(options.victim_hours);
-
-    double observed = 0.0;
-    while (observed < options.recovery_hours - 1e-9) {
-        const double dt = std::min(options.measure_every_h,
-                                   options.recovery_hours - observed);
-        if (!platform.loadDesign(best_id, park).empty()) {
-            util::fatal("recoverUserData: park design failed DRC");
-        }
-        platform.advanceHours(
-            std::max(0.0, dt - kMeasureSettleHours));
-        observed += dt;
-        measureNow(options.victim_hours + observed);
-    }
+    sweep(options.victim_hours);
+    const double observed = runSchedule(
+        0.0, options.recovery_hours, options.measure_every_h,
+        [&](double, double dt) {
+            loadChecked(platform, best_id, park,
+                        "recoverUserData: park design");
+            platform.advanceHours(std::max(0.0, dt - kMeasureSettleHours));
+        },
+        [&](double t) { sweep(options.victim_hours + t); });
     platform.release(best_id);
     device.setWorkPool(nullptr);
 
-    report.result.condition_hours = options.victim_hours + observed;
-    report.result.measure_seconds = measure_seconds;
-    report.result.sweeps = sweeps;
-    for (std::size_t i = 0; i < bundle.skeleton.size(); ++i) {
-        RouteRecord route;
-        route.name = bundle.skeleton[i].name;
-        route.target_ps = bundle.skeleton[i].target_ps;
-        route.burn_value = secret[i];
-        route.series = raw[i].centeredAtFirst();
-        report.result.routes.push_back(std::move(route));
-    }
-
-    report.classification =
-        ThreatModel2Classifier().classify(report.result);
-    report.recovered_bits.reserve(report.classification.bits.size());
-    for (const BitEstimate &bit : report.classification.bits) {
-        report.recovered_bits.push_back(bit.value);
-    }
+    report.result = recorder.result(bundle.skeleton, secret,
+                                    options.victim_hours + observed);
+    classifyInto(report, ThreatModel2Classifier());
     return report;
 }
 

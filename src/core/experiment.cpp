@@ -1,7 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <cmath>
 #include <memory>
 
 #include "phys/thermal.hpp"
@@ -48,6 +48,112 @@ ExperimentResult::groupIndices(double target_ps) const
     return indices;
 }
 
+void
+checkSchedule(double from, double to, double every_h)
+{
+    if (!std::isfinite(every_h) || every_h <= 0.0) {
+        util::fatal("schedule: cadence must be finite and positive");
+    }
+    if (!std::isfinite(from) || !std::isfinite(to) ||
+        to < from - kScheduleToleranceHours) {
+        util::fatal("schedule: bounds must be finite and ordered");
+    }
+}
+
+SweepRecorder::SweepRecorder(std::size_t routes, SweepObserver *observer)
+    : raw_(routes), deltas_(routes), observer_(observer)
+{
+}
+
+void
+SweepRecorder::record(double hour, const tdc::MeasurementSweep &sweep)
+{
+    if (sweep.per_route.size() != raw_.size()) {
+        util::fatal("SweepRecorder: sweep arity mismatch");
+    }
+    for (std::size_t i = 0; i < raw_.size(); ++i) {
+        deltas_[i] = sweep.per_route[i].deltaPs();
+        raw_[i].addPoint(hour, deltas_[i]);
+    }
+    measure_seconds_ += sweep.wall_seconds;
+    const std::size_t index = sweeps_++;
+    if (observer_ != nullptr &&
+        !observer_->onSweep(index, hour, deltas_.data(), deltas_.size())) {
+        throw util::CancelledError("experiment cancelled at sweep " +
+                                   std::to_string(index));
+    }
+}
+
+ExperimentResult
+SweepRecorder::result(const std::vector<fabric::RouteSpec> &routes,
+                      const std::vector<bool> &burn_values,
+                      double condition_hours) const
+{
+    if (routes.size() != raw_.size() || burn_values.size() != raw_.size()) {
+        util::fatal("SweepRecorder: route arity mismatch");
+    }
+    ExperimentResult result;
+    result.condition_hours = condition_hours;
+    result.measure_seconds = measure_seconds_;
+    result.sweeps = sweeps_;
+    result.routes.reserve(raw_.size());
+    for (std::size_t i = 0; i < raw_.size(); ++i) {
+        result.routes.push_back({routes[i].name, routes[i].target_ps,
+                                 burn_values[i],
+                                 raw_[i].centeredAtFirst()});
+    }
+    return result;
+}
+
+void
+loadChecked(cloud::CloudPlatform &platform, const std::string &instance_id,
+            std::shared_ptr<const fabric::Design> design, const char *what)
+{
+    if (!platform.loadDesign(instance_id, std::move(design)).empty()) {
+        util::fatal(std::string(what) + " failed DRC");
+    }
+}
+
+std::shared_ptr<tdc::MeasureDesign>
+calibrateOnPlatform(cloud::CloudPlatform &platform,
+                    const std::string &instance_id,
+                    const std::vector<fabric::RouteSpec> &routes,
+                    const tdc::TdcConfig &tdc, util::ThreadPool *pool)
+{
+    cloud::FpgaInstance &inst = platform.instance(instance_id);
+    auto measure =
+        std::make_shared<tdc::MeasureDesign>(inst.device(), routes, tdc);
+    loadChecked(platform, instance_id, measure, "measure design");
+    measure->calibrateAll(inst.dieTempK(), inst.rng(), pool);
+    return measure;
+}
+
+tdc::MeasurementSweep
+measureOnPlatform(cloud::CloudPlatform &platform,
+                  const std::string &instance_id,
+                  const std::shared_ptr<tdc::MeasureDesign> &measure,
+                  util::ThreadPool *pool)
+{
+    loadChecked(platform, instance_id, measure, "measure design");
+    // Let the die settle to the Measure design's power before sampling
+    // (the paper's measurement takes ~52 s anyway).
+    platform.advanceHours(kMeasureSettleHours);
+    cloud::FpgaInstance &inst = platform.instance(instance_id);
+    return measure->measureAll(inst.dieTempK(), inst.rng(), pool);
+}
+
+std::shared_ptr<fabric::Design>
+makeParkDesign(const std::string &name,
+               const std::vector<fabric::RouteSpec> &routes, bool value)
+{
+    auto park = std::make_shared<fabric::Design>(name);
+    for (const fabric::RouteSpec &spec : routes) {
+        park->setRouteValue(spec, value);
+    }
+    park->setPowerW(2.0);
+    return park;
+}
+
 namespace {
 
 /** Allocated routes + ground-truth burn bits for one experiment. */
@@ -55,7 +161,6 @@ struct RouteSetup
 {
     std::vector<fabric::RouteSpec> specs;
     std::vector<bool> burn_values;
-    std::vector<double> targets;
 };
 
 RouteSetup
@@ -78,85 +183,9 @@ allocateRoutes(fabric::Device &device,
             setup.specs.push_back(
                 device.allocateRoute(name, group.target_ps));
             setup.burn_values.push_back(rng.bernoulli(0.5));
-            setup.targets.push_back(group.target_ps);
         }
     }
     return setup;
-}
-
-/** Accumulates sweep results into per-route series. */
-class SeriesRecorder
-{
-  public:
-    explicit SeriesRecorder(std::size_t routes) : raw_(routes) {}
-
-    void
-    record(double hour, const tdc::MeasurementSweep &sweep)
-    {
-        if (sweep.per_route.size() != raw_.size()) {
-            util::fatal("SeriesRecorder: sweep arity mismatch");
-        }
-        for (std::size_t i = 0; i < raw_.size(); ++i) {
-            raw_[i].addPoint(hour, sweep.per_route[i].deltaPs());
-        }
-    }
-
-    DeltaSeries
-    centered(std::size_t i) const
-    {
-        return raw_[i].centeredAtFirst();
-    }
-
-  private:
-    std::vector<DeltaSeries> raw_;
-};
-
-ExperimentResult
-assembleResult(const RouteSetup &setup, const SeriesRecorder &recorder,
-               double condition_hours, double measure_seconds,
-               std::size_t sweeps)
-{
-    ExperimentResult result;
-    result.condition_hours = condition_hours;
-    result.measure_seconds = measure_seconds;
-    result.sweeps = sweeps;
-    result.routes.reserve(setup.specs.size());
-    for (std::size_t i = 0; i < setup.specs.size(); ++i) {
-        RouteRecord record;
-        record.name = setup.specs[i].name;
-        record.target_ps = setup.targets[i];
-        record.burn_value = setup.burn_values[i];
-        record.series = recorder.centered(i);
-        result.routes.push_back(std::move(record));
-    }
-    return result;
-}
-
-/**
- * Report one finished sweep to the (optional) observer; honour a false
- * return by throwing util::CancelledError right here, which unwinds
- * the experiment loop at a clean checkpoint. The deltas handed out are
- * the raw per-route ∆ps of this one sweep (uncentered — centering
- * needs the whole series, which a streaming consumer doesn't have).
- */
-void
-notifySweep(SweepObserver *observer, std::size_t sweep_index,
-            double hour, const tdc::MeasurementSweep &sweep)
-{
-    if (observer == nullptr) {
-        return;
-    }
-    std::vector<double> deltas;
-    deltas.reserve(sweep.per_route.size());
-    for (const auto &route : sweep.per_route) {
-        deltas.push_back(route.deltaPs());
-    }
-    if (!observer->onSweep(sweep_index, hour, deltas.data(),
-                           deltas.size())) {
-        throw util::CancelledError(
-            "experiment cancelled at sweep " +
-            std::to_string(sweep_index));
-    }
 }
 
 mitigation::NoMitigation g_no_mitigation;
@@ -179,32 +208,33 @@ strategyOrDefault(mitigation::MitigationStrategy *strategy)
  * The design is (re)loaded after every strategy application because
  * relocation may reference freshly allocated elements.
  */
+template <typename LoadAndAdvance>
 void
 conditionWithStrategy(mitigation::MitigationStrategy &strategy,
                       fabric::TargetDesign &target,
                       fabric::Device &device,
                       const std::vector<bool> &values, double start_hour,
-                      double duration_h,
-                      const std::function<void(double)> &load_and_advance)
+                      double duration_h, LoadAndAdvance &&load_and_advance)
 {
-    const double cadence = strategy.cadenceHours();
-    double advanced = 0.0;
-    while (advanced < duration_h - 1e-9) {
-        const double remaining = duration_h - advanced;
-        const double step =
-            cadence > 0.0 ? std::min(cadence, remaining) : remaining;
-        strategy.apply(target, device, values, start_hour + advanced);
-        load_and_advance(step);
-        advanced += step;
+    if (!(duration_h > 0.0)) {
+        return;
     }
+    const double cadence = strategy.cadenceHours();
+    runSchedule(0.0, duration_h, cadence > 0.0 ? cadence : duration_h,
+                [&](double advanced, double step) {
+                    strategy.apply(target, device, values,
+                                   start_hour + advanced);
+                    load_and_advance(step);
+                },
+                [](double) {});
 }
 
 /** Apply a §8.1 epilogue before the tenant releases the instance. */
+template <typename Advance>
 void
 runEpilogue(const mitigation::Epilogue &epilogue,
-            std::shared_ptr<fabric::TargetDesign> target,
-            const std::vector<bool> &values,
-            const std::function<void(double)> &advance)
+            fabric::TargetDesign &target, const std::vector<bool> &values,
+            Advance &&advance)
 {
     if (epilogue.policy == mitigation::Epilogue::Policy::None ||
         epilogue.hours <= 0.0) {
@@ -213,13 +243,13 @@ runEpilogue(const mitigation::Epilogue &epilogue,
     for (std::size_t i = 0; i < values.size(); ++i) {
         switch (epilogue.policy) {
           case mitigation::Epilogue::Policy::Complement:
-            target->setBurnValue(i, !values[i]);
+            target.setBurnValue(i, !values[i]);
             break;
           case mitigation::Epilogue::Policy::AllZero:
-            target->setBurnValue(i, false);
+            target.setBurnValue(i, false);
             break;
           case mitigation::Epilogue::Policy::AllOne:
-            target->setBurnValue(i, true);
+            target.setBurnValue(i, true);
             break;
           case mitigation::Epilogue::Policy::None:
             break;
@@ -254,22 +284,16 @@ runExperiment1(const Experiment1Config &config)
     device.loadDesign(measure);
     measure->calibrateAll(oven.dieTempK(), meas_rng, config.pool);
 
-    SeriesRecorder recorder(setup.specs.size());
-    double measure_seconds = 0.0;
-    std::size_t sweeps = 0;
-    const auto measureNow = [&](double hour) {
+    SweepRecorder recorder(setup.specs.size(), config.observer);
+    const auto sweep = [&](double hour) {
         // Reloading the resident, unmutated Measure design is a no-op
         // inside loadDesign (no epoch bump), so the baseline sweep
         // reuses the calibration sweep's cached tap arrivals.
         device.loadDesign(measure);
-        const tdc::MeasurementSweep sweep =
-            measure->measureAll(oven.dieTempK(), meas_rng, config.pool);
-        recorder.record(hour, sweep);
-        measure_seconds += sweep.wall_seconds;
-        notifySweep(config.observer, sweeps, hour, sweep);
-        ++sweeps;
+        recorder.record(hour, measure->measureAll(oven.dieTempK(),
+                                                  meas_rng, config.pool));
     };
-    measureNow(0.0);
+    sweep(0.0);
 
     const auto conditionStep = [&](const std::vector<bool> &values,
                                    double hour, double dt) {
@@ -281,31 +305,22 @@ runExperiment1(const Experiment1Config &config)
     };
 
     // Burn-in period: condition X, measure every measure_every_h.
-    const std::vector<bool> x = setup.burn_values;
+    const std::vector<bool> &x = setup.burn_values;
     std::vector<bool> x_bar(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
         x_bar[i] = !x[i];
     }
-    double hour = 0.0;
-    while (hour < config.burn_hours - 1e-9) {
-        const double dt =
-            std::min(config.measure_every_h, config.burn_hours - hour);
-        conditionStep(x, hour, dt);
-        hour += dt;
-        measureNow(hour);
-    }
-    // Recovery period: condition X̄ (paper hours [200, 400)).
-    while (hour < config.burn_hours + config.recovery_hours - 1e-9) {
-        const double dt = std::min(config.measure_every_h,
-                                   config.burn_hours +
-                                       config.recovery_hours - hour);
-        conditionStep(x_bar, hour, dt);
-        hour += dt;
-        measureNow(hour);
-    }
+    double hour = runSchedule(
+        0.0, config.burn_hours, config.measure_every_h,
+        [&](double t, double dt) { conditionStep(x, t, dt); }, sweep);
+    // Recovery period: condition X̄ (paper hours [200, 400)), on the
+    // burn's accumulated clock.
+    hour = runSchedule(
+        hour, config.burn_hours + config.recovery_hours,
+        config.measure_every_h,
+        [&](double t, double dt) { conditionStep(x_bar, t, dt); }, sweep);
 
-    return assembleResult(setup, recorder, hour, measure_seconds,
-                          sweeps);
+    return recorder.result(setup.specs, setup.burn_values, hour);
 }
 
 ExperimentResult
@@ -318,67 +333,44 @@ runExperiment2(const Experiment2Config &config)
     if (!rented) {
         util::fatal("runExperiment2: region exhausted");
     }
-    cloud::FpgaInstance &inst = platform.instance(*rented);
-    fabric::Device &device = inst.device();
+    fabric::Device &device = platform.instance(*rented).device();
     device.setWorkPool(config.pool);
 
     RouteSetup setup = allocateRoutes(device, config.groups, rng);
     auto target = std::make_shared<fabric::TargetDesign>(
         "exp2_target", setup.specs, setup.burn_values, config.arith);
-    auto measure = std::make_shared<tdc::MeasureDesign>(
-        device, setup.specs, config.tdc);
     mitigation::MitigationStrategy &strategy =
         strategyOrDefault(config.strategy);
 
     // Calibration + baseline (TM1 allows pre-burn-in measurement).
-    if (!platform.loadDesign(*rented, measure).empty()) {
-        util::fatal("runExperiment2: measure design failed DRC");
-    }
-    measure->calibrateAll(inst.dieTempK(), inst.rng(), config.pool);
-
-    SeriesRecorder recorder(setup.specs.size());
-    double measure_seconds = 0.0;
-    std::size_t sweeps = 0;
-    const auto measureNow = [&](double hour) {
-        if (!platform.loadDesign(*rented, measure).empty()) {
-            util::fatal("runExperiment2: measure design failed DRC");
-        }
-        // Let the die settle to the Measure design's power before
-        // sampling (the paper's measurement takes ~52 s anyway).
-        platform.advanceHours(kMeasureSettleHours);
-        const tdc::MeasurementSweep sweep = measure->measureAll(
-            inst.dieTempK(), inst.rng(), config.pool);
-        recorder.record(hour, sweep);
-        measure_seconds += sweep.wall_seconds;
-        notifySweep(config.observer, sweeps, hour, sweep);
-        ++sweeps;
+    const auto measure = calibrateOnPlatform(
+        platform, *rented, setup.specs, config.tdc, config.pool);
+    SweepRecorder recorder(setup.specs.size(), config.observer);
+    const auto sweep = [&](double hour) {
+        recorder.record(hour, measureOnPlatform(platform, *rented, measure,
+                                                config.pool));
     };
-    measureNow(0.0);
+    sweep(0.0);
 
-    double hour = 0.0;
-    while (hour < config.burn_hours - 1e-9) {
-        const double dt =
-            std::min(config.measure_every_h, config.burn_hours - hour);
-        conditionWithStrategy(
-            strategy, *target, inst.device(), setup.burn_values, hour,
-            std::max(0.0, dt - kMeasureSettleHours), [&](double step) {
-                if (!platform.loadDesign(*rented, target).empty()) {
-                    util::fatal(
-                        "runExperiment2: target design failed DRC");
-                }
-                // Span-level advance: ambient events bound the walk,
-                // so no sub-step cap is needed.
-                platform.advanceHours(step, step);
-            });
-        hour += dt;
-        measureNow(hour);
-    }
+    const double hour = runSchedule(
+        0.0, config.burn_hours, config.measure_every_h,
+        [&](double t, double dt) {
+            conditionWithStrategy(
+                strategy, *target, device, setup.burn_values, t,
+                std::max(0.0, dt - kMeasureSettleHours), [&](double step) {
+                    loadChecked(platform, *rented, target,
+                                "runExperiment2: target design");
+                    // Span-level advance: ambient events bound the
+                    // walk, so no sub-step cap is needed.
+                    platform.advanceHours(step, step);
+                });
+        },
+        sweep);
     platform.release(*rented);
     // The platform (and its devices) may outlive the caller's pool.
     device.setWorkPool(nullptr);
 
-    return assembleResult(setup, recorder, hour, measure_seconds,
-                          sweeps);
+    return recorder.result(setup.specs, setup.burn_values, hour);
 }
 
 ExperimentResult
@@ -392,8 +384,7 @@ runExperiment3(const Experiment3Config &config)
     if (!victim_id) {
         util::fatal("runExperiment3: region exhausted");
     }
-    cloud::FpgaInstance &victim_inst = platform.instance(*victim_id);
-    fabric::Device &device = victim_inst.device();
+    fabric::Device &device = platform.instance(*victim_id).device();
     device.setWorkPool(config.pool);
 
     RouteSetup setup = allocateRoutes(device, config.groups, rng);
@@ -407,24 +398,17 @@ runExperiment3(const Experiment3Config &config)
     // an unscheduled strategy (cadence 0) the whole burn is a single
     // jump — the paper's Experiment 3 conditions 200 h uninterrupted,
     // and the segment timeline makes that O(1) per fleet board.
+    const auto victimAdvance = [&](double hours) {
+        loadChecked(platform, *victim_id, target,
+                    "runExperiment3: victim design");
+        platform.advanceHours(hours, hours);
+    };
     conditionWithStrategy(strategy, *target, device, setup.burn_values,
-                          0.0, config.burn_hours, [&](double dt) {
-                              if (!platform
-                                       .loadDesign(*victim_id, target)
-                                       .empty()) {
-                                  util::fatal("runExperiment3: victim "
-                                              "design failed DRC");
-                              }
-                              platform.advanceHours(dt, dt);
-                          });
+                          0.0, config.burn_hours, victimAdvance);
     double hour = config.burn_hours;
-    runEpilogue(strategy.epilogue(), target, setup.burn_values,
+    runEpilogue(strategy.epilogue(), *target, setup.burn_values,
                 [&](double hours) {
-                    if (!platform.loadDesign(*victim_id, target)
-                             .empty()) {
-                        util::fatal("runExperiment3: epilogue DRC");
-                    }
-                    platform.advanceHours(hours, hours);
+                    victimAdvance(hours);
                     hour += hours;
                 });
     platform.release(*victim_id); // provider wipes the configuration
@@ -443,74 +427,47 @@ runExperiment3(const Experiment3Config &config)
     if (!attacker_id) {
         util::fatal("runExperiment3: region exhausted for attacker");
     }
-    cloud::FpgaInstance &attacker_inst =
-        platform.instance(*attacker_id);
-    if (&attacker_inst.device() != &device) {
+    fabric::Device &att_device = platform.instance(*attacker_id).device();
+    if (&att_device != &device) {
         util::warn("runExperiment3: attacker was not assigned the "
                    "victim board; recovery will fail (expected with "
                    "quarantine/mitigation configurations)");
     }
-    fabric::Device &att_device = attacker_inst.device();
     att_device.setWorkPool(config.pool);
 
     // The attacker knows the skeleton (Assumption 1) and builds the
     // Measure design over it; θ_init is consistent across devices of
     // a type (§6.3), obtained here by calibrating at takeover.
-    auto measure = std::make_shared<tdc::MeasureDesign>(
-        att_device, setup.specs, config.tdc);
-    if (!platform.loadDesign(*attacker_id, measure).empty()) {
-        util::fatal("runExperiment3: measure design failed DRC");
-    }
-    measure->calibrateAll(attacker_inst.dieTempK(),
-                          attacker_inst.rng(), config.pool);
+    const auto measure = calibrateOnPlatform(
+        platform, *attacker_id, setup.specs, config.tdc, config.pool);
+    const auto park = makeParkDesign("exp3_attacker_park", setup.specs,
+                                     config.park_value);
 
-    // Park design: every route under test forced to park_value.
-    auto park = std::make_shared<fabric::Design>("exp3_attacker_park");
-    for (const fabric::RouteSpec &spec : setup.specs) {
-        park->setRouteValue(spec, config.park_value);
-    }
-    park->setPowerW(2.0);
-
-    SeriesRecorder recorder(setup.specs.size());
-    double measure_seconds = 0.0;
-    std::size_t sweeps = 0;
-    const auto measureNow = [&](double at_hour) {
-        if (!platform.loadDesign(*attacker_id, measure).empty()) {
-            util::fatal("runExperiment3: measure design failed DRC");
-        }
-        platform.advanceHours(kMeasureSettleHours);
-        const tdc::MeasurementSweep sweep =
-            measure->measureAll(attacker_inst.dieTempK(),
-                                attacker_inst.rng(), config.pool);
-        recorder.record(at_hour, sweep);
-        measure_seconds += sweep.wall_seconds;
-        notifySweep(config.observer, sweeps, at_hour, sweep);
-        ++sweeps;
+    SweepRecorder recorder(setup.specs.size(), config.observer);
+    const auto sweep = [&](double at_hour) {
+        recorder.record(at_hour, measureOnPlatform(platform, *attacker_id,
+                                                   measure, config.pool));
     };
-
     // First attacker sample: the centering origin (hour 200).
-    measureNow(hour);
-    double observed = 0.0;
-    while (observed < config.recovery_hours - 1e-9) {
-        const double dt = std::min(config.measure_every_h,
-                                   config.recovery_hours - observed);
-        if (!platform.loadDesign(*attacker_id, park).empty()) {
-            util::fatal("runExperiment3: park design failed DRC");
-        }
-        const double park_h = std::max(0.0, dt - kMeasureSettleHours);
-        if (park_h > 0.0) {
-            platform.advanceHours(park_h, park_h);
-        }
-        observed += dt;
-        measureNow(hour + observed);
-    }
+    sweep(hour);
+    const double observed = runSchedule(
+        0.0, config.recovery_hours, config.measure_every_h,
+        [&](double, double dt) {
+            loadChecked(platform, *attacker_id, park,
+                        "runExperiment3: park design");
+            const double park_h = std::max(0.0, dt - kMeasureSettleHours);
+            if (park_h > 0.0) {
+                platform.advanceHours(park_h, park_h);
+            }
+        },
+        [&](double t) { sweep(hour + t); });
     platform.release(*attacker_id);
     // The platform (and its devices) may outlive the caller's pool.
     device.setWorkPool(nullptr);
     att_device.setWorkPool(nullptr);
 
-    return assembleResult(setup, recorder, hour + observed,
-                          measure_seconds, sweeps);
+    return recorder.result(setup.specs, setup.burn_values,
+                           hour + observed);
 }
 
 TenancyChurnResult

@@ -23,7 +23,9 @@
 #ifndef PENTIMENTO_CORE_EXPERIMENT_HPP
 #define PENTIMENTO_CORE_EXPERIMENT_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -113,6 +115,96 @@ struct ExperimentResult
     /** Indices of the routes belonging to a delay group. */
     std::vector<std::size_t> groupIndices(double target_ps) const;
 };
+
+/** Steps shorter than this at a span's end are not taken, hours. */
+inline constexpr double kScheduleToleranceHours = 1e-9;
+
+/** Fatal unless runSchedule's cadence and bounds are usable. */
+void checkSchedule(double from, double to, double every_h);
+
+/**
+ * The §5.2 schedule every driver runs. `t` walks from the absolute
+ * hour `from` to `to` in steps of min(every_h, to − t); each step calls
+ * condition(t, dt) and then measure(t + dt). Returns the accumulated
+ * final `t`, so a later span can continue from it. A cadence that is
+ * not finite and positive, or bounds that are not finite or run
+ * backwards, are fatal; an empty span takes no step.
+ */
+template <typename Condition, typename Measure>
+double
+runSchedule(double from, double to, double every_h, Condition &&condition,
+            Measure &&measure)
+{
+    checkSchedule(from, to, every_h);
+    double t = from;
+    while (t < to - kScheduleToleranceHours) {
+        const double dt = std::min(every_h, to - t);
+        condition(t, dt);
+        t += dt;
+        measure(t);
+    }
+    return t;
+}
+
+/**
+ * Collects a run's measurement sweeps: a raw ∆ps series per route,
+ * the modeled sweep seconds and the sweep count. Each sweep is also
+ * handed to the optional observer as its raw (uncentered) per-route
+ * ∆ps; a false return throws util::CancelledError at that sweep.
+ */
+class SweepRecorder
+{
+  public:
+    explicit SweepRecorder(std::size_t routes,
+                           SweepObserver *observer = nullptr);
+
+    void record(double hour, const tdc::MeasurementSweep &sweep);
+
+    /** Route i is named after routes[i] and centered at its first
+     *  sweep; burn_values[i] is its ground truth. */
+    ExperimentResult result(const std::vector<fabric::RouteSpec> &routes,
+                            const std::vector<bool> &burn_values,
+                            double condition_hours) const;
+
+  private:
+    std::vector<DeltaSeries> raw_;
+    std::vector<double> deltas_;
+    SweepObserver *observer_;
+    double measure_seconds_ = 0.0;
+    std::size_t sweeps_ = 0;
+};
+
+/** Load a design on a rented board; fatal "<what> failed DRC". */
+void loadChecked(cloud::CloudPlatform &platform,
+                 const std::string &instance_id,
+                 std::shared_ptr<const fabric::Design> design,
+                 const char *what);
+
+/**
+ * Calibration phase on a rented board: build the Measure design over
+ * `routes`, load it and calibrate every sensor at the die's
+ * temperature from the instance's draw stream.
+ */
+std::shared_ptr<tdc::MeasureDesign>
+calibrateOnPlatform(cloud::CloudPlatform &platform,
+                    const std::string &instance_id,
+                    const std::vector<fabric::RouteSpec> &routes,
+                    const tdc::TdcConfig &tdc, util::ThreadPool *pool);
+
+/**
+ * Measurement phase on a rented board: load `measure`, let the die
+ * settle for kMeasureSettleHours, then sweep every sensor.
+ */
+tdc::MeasurementSweep
+measureOnPlatform(cloud::CloudPlatform &platform,
+                  const std::string &instance_id,
+                  const std::shared_ptr<tdc::MeasureDesign> &measure,
+                  util::ThreadPool *pool);
+
+/** The attacker's 2 W park design holding every route at `value`. */
+std::shared_ptr<fabric::Design>
+makeParkDesign(const std::string &name,
+               const std::vector<fabric::RouteSpec> &routes, bool value);
 
 /** Experiment 1 configuration (lab, Figure 6). */
 struct Experiment1Config

@@ -9,7 +9,7 @@
 
 #include "cloud/platform.hpp"
 #include "core/classifier.hpp"
-#include "core/delta_series.hpp"
+#include "core/experiment.hpp"
 #include "fabric/bram_block.hpp"
 #include "tdc/measure_design.hpp"
 #include "util/logging.hpp"
@@ -22,6 +22,7 @@ namespace {
 
 constexpr double kRouteTargetPs = 2000.0;
 constexpr double kRecoveryHours = 25.0;
+constexpr double kSweepEveryHours = 1.0;
 
 /** Fraction of tenancies ending in an unclean teardown (crash or
  *  host power event) when the BRAM channel runs. */
@@ -386,30 +387,12 @@ restoreCampaignFrom(const std::string &path,
 }
 
 /**
- * Drive one attack slot's clock: the takeover settle, then 25 ×
- * [park for 1 − settle, settle]. `advance(hours, parked)` moves
- * whatever the slot drives — the attacked board (which loads its park
- * or measure design first and sweeps after each settle), a board that
- * only ages through the slot, or the platform clock. One schedule for
- * all three keeps every board on exactly the advanceHours calls of a
- * serial scan.
- */
-template <typename Advance>
-void
-driveAttackSlot(Advance &&advance)
-{
-    advance(core::kMeasureSettleHours, false);
-    for (double observed = 0.0; observed < kRecoveryHours - 1e-9;
-         observed += 1.0) {
-        advance(1.0 - core::kMeasureSettleHours, true);
-        advance(core::kMeasureSettleHours, false);
-    }
-}
-
-/**
  * Age through scan slots [from, to) that attack nothing `advance`
- * drives: a slot outside the shard (k < begin) is one kRecoveryHours
- * + settle step, every other slot the driveAttackSlot schedule.
+ * drives. A slot outside the shard (k < begin) is one kRecoveryHours
+ * + settle step. Every other slot takes attackBoard's steps: the
+ * takeover settle, then the core schedule's [park for 1 − settle,
+ * settle] pairs. So every board gets exactly the advanceHours calls
+ * of a serial scan.
  */
 template <typename Advance>
 void
@@ -419,9 +402,15 @@ idleSlots(std::size_t from, std::size_t to, std::size_t begin,
     for (std::size_t k = from; k < to; ++k) {
         if (k < begin) {
             advance(kRecoveryHours + core::kMeasureSettleHours);
-        } else {
-            driveAttackSlot([&](double hours, bool) { advance(hours); });
+            continue;
         }
+        advance(core::kMeasureSettleHours);
+        core::runSchedule(
+            0.0, kRecoveryHours, kSweepEveryHours,
+            [&](double, double dt) {
+                advance(dt - core::kMeasureSettleHours);
+            },
+            [&](double) { advance(core::kMeasureSettleHours); });
     }
 }
 
@@ -478,51 +467,35 @@ attackBoard(cloud::CloudPlatform &platform,
     // and fast sampling paths (see tdc_test's FastSampling battery).
     tdc::TdcConfig sensor_config;
     sensor_config.fast_sampling = true;
-    auto measure = std::make_shared<tdc::MeasureDesign>(
-        device, tenancy.specs, sensor_config);
-    if (!platform.loadDesign(board_id, measure).empty()) {
-        util::fatal("fleet scan: measure design failed DRC");
-    }
-    measure->calibrateAll(inst.dieTempK(), inst.rng());
+    const auto measure = core::calibrateOnPlatform(
+        platform, board_id, tenancy.specs, sensor_config, nullptr);
+    const auto park =
+        core::makeParkDesign("park0_" + board_id, tenancy.specs, false);
 
-    auto park = std::make_shared<fabric::Design>("park0_" + board_id);
-    for (const fabric::RouteSpec &spec : tenancy.specs) {
-        park->setRouteValue(spec, false);
-    }
-    park->setPowerW(2.0);
-
-    std::vector<core::DeltaSeries> series(tenancy.specs.size());
-    double hour = 0.0;
-    driveAttackSlot([&](double hours, bool parked) {
-        if (!platform.loadDesign(board_id, parked ? park : measure)
-                 .empty()) {
-            util::fatal(parked ? "fleet scan: park design failed DRC"
-                               : "fleet scan: measure design failed DRC");
-        }
+    const auto age = [&](double hours) {
         inst.advanceHours(hours);
         *clock_h += hours;
-        if (parked) {
-            return;
-        }
-        const tdc::MeasurementSweep sweep =
-            measure->measureAll(inst.dieTempK(), inst.rng());
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            series[i].addPoint(hour, sweep.per_route[i].deltaPs());
-        }
-        hour += 1.0;
-    });
-
-    core::ExperimentResult result;
-    for (std::size_t i = 0; i < tenancy.specs.size(); ++i) {
-        core::RouteRecord record;
-        record.name = tenancy.specs[i].name;
-        record.target_ps = tenancy.specs[i].target_ps;
-        record.burn_value = tenancy.bits[i];
-        record.series = series[i].centeredAtFirst();
-        result.routes.push_back(std::move(record));
-    }
+    };
+    core::SweepRecorder recorder(tenancy.specs.size());
+    const auto sweep = [&](double hour) {
+        core::loadChecked(platform, board_id, measure,
+                          "fleet scan: measure design");
+        age(core::kMeasureSettleHours);
+        recorder.record(hour,
+                        measure->measureAll(inst.dieTempK(), inst.rng()));
+    };
+    sweep(0.0);
+    const double observed = core::runSchedule(
+        0.0, kRecoveryHours, kSweepEveryHours,
+        [&](double, double dt) {
+            core::loadChecked(platform, board_id, park,
+                              "fleet scan: park design");
+            age(dt - core::kMeasureSettleHours);
+        },
+        sweep);
     const core::ClassificationReport report =
-        core::ThreatModel2Classifier().classify(result);
+        core::ThreatModel2Classifier().classify(
+            recorder.result(tenancy.specs, tenancy.bits, observed));
 
     platform.releaseAt(board_id, *clock_h);
     FleetScanBoardScore score;
@@ -670,9 +643,8 @@ runFleetScan(const FleetScanConfig &config)
             }
             auto target = makeTenantDesign(tenancy, day,
                                            config.golden_compat);
-            if (!platform.loadDesign(*board, target).empty()) {
-                util::fatal("fleet scan: tenant design failed DRC");
-            }
+            core::loadChecked(platform, *board, target,
+                              "fleet scan: tenant design");
             if (config.bram_channel) {
                 // Write AFTER the load: configuring the tenant's
                 // bitstream zeroed whatever the blocks held. Words
@@ -794,7 +766,7 @@ runFleetScan(const FleetScanConfig &config)
     result.skipped = skipped.size();
 
     // Shard slice of the target list. Slot k attacks target k
-    // (driveAttackSlot). An attack draws only from its board's own
+    // (attackBoard). An attack draws only from its board's own
     // per-instance rng, and every other board sees nothing but time
     // advancing through the slot. So each attacked board runs its
     // slots as one task — the idle slots before its own, its attack,

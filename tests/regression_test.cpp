@@ -16,6 +16,8 @@
  *    Experiments 1-3 and the TM1/TM2 facades, at 1 and 3 lanes, so a
  *    change to the shared condition/measure schedule cannot move a
  *    single output bit unnoticed.
+ *  - The shared schedule's partition and its argument checks, which
+ *    every driver inherits.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +39,7 @@
 #include "phys/thermal.hpp"
 #include "tdc/measure_design.hpp"
 #include "tdc/tdc.hpp"
+#include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -539,6 +544,67 @@ expectPinned(std::uint64_t pin, Run &&run)
     EXPECT_EQ(run(&pool), pin) << "3 lanes";
 }
 
+pc::Experiment2Config
+exp2PinConfig()
+{
+    pc::Experiment2Config config;
+    config.groups = {{1000.0, 2}, {2000.0, 2}};
+    config.burn_hours = 7.0;
+    config.measure_every_h = 2.0;
+    config.platform = pinRegion(51, 2);
+    config.arith.dsp_count = 8;
+    config.seed = 5151;
+    return config;
+}
+
+pc::Experiment3Config
+exp3PinConfig()
+{
+    pc::Experiment3Config config;
+    config.groups = {{1000.0, 2}, {2000.0, 2}};
+    config.burn_hours = 20.0;
+    config.recovery_hours = 5.0;
+    config.measure_every_h = 2.0;
+    config.attacker_wait_h = 3.0;
+    config.park_value = true;
+    config.platform = pinRegion(52, 2);
+    config.arith.dsp_count = 8;
+    config.seed = 5252;
+    return config;
+}
+
+pc::Tm1Report
+runTm1Pin(pu::ThreadPool *pool, double measure_every_h)
+{
+    pcl::CloudPlatform platform(pinRegion(53, 2));
+    pf::Device scratch(pc::awsF1Silicon(7));
+    const pc::SecretBundle bundle = pc::makeSecretTarget(
+        scratch, {true, false, true, false}, 2000.0, "pin_afi");
+    const std::string afi_id = platform.marketplace().publish(
+        "vendor", bundle.design, bundle.skeleton);
+    pc::Tm1Options options;
+    options.burn_hours = 9.0;
+    options.measure_every_h = measure_every_h;
+    options.seed = 5353;
+    options.pool = pool;
+    return pc::extractDesignData(platform, afi_id, options);
+}
+
+pc::Tm2Report
+runTm2Pin(pu::ThreadPool *pool, double measure_every_h)
+{
+    pcl::CloudPlatform platform(pinRegion(54, 2));
+    pc::Tm2Options options;
+    options.victim_hours = 30.0;
+    options.recovery_hours = 5.0;
+    options.measure_every_h = measure_every_h;
+    options.route_ps = 2000.0;
+    options.seed = 5454;
+    options.pool = pool;
+    return pc::recoverUserData(platform, {true, true, false, true},
+                               options);
+}
+
 TEST(DriverPins, Experiment1FractionalCadence)
 {
     // 0.7 h steps accumulate rounding across the burn and carry it
@@ -556,13 +622,7 @@ TEST(DriverPins, Experiment1FractionalCadence)
 TEST(DriverPins, Experiment2)
 {
     expectPinned(0xf1fa05a684fd5f21ULL, [](pu::ThreadPool *pool) {
-        pc::Experiment2Config config;
-        config.groups = {{1000.0, 2}, {2000.0, 2}};
-        config.burn_hours = 7.0;
-        config.measure_every_h = 2.0;
-        config.platform = pinRegion(51, 2);
-        config.arith.dsp_count = 8;
-        config.seed = 5151;
+        pc::Experiment2Config config = exp2PinConfig();
         config.pool = pool;
         Fnv1a h;
         h.result(pc::runExperiment2(config));
@@ -573,16 +633,7 @@ TEST(DriverPins, Experiment2)
 TEST(DriverPins, Experiment3WaitAndParkOne)
 {
     expectPinned(0x89419c323c14b1f0ULL, [](pu::ThreadPool *pool) {
-        pc::Experiment3Config config;
-        config.groups = {{1000.0, 2}, {2000.0, 2}};
-        config.burn_hours = 20.0;
-        config.recovery_hours = 5.0;
-        config.measure_every_h = 2.0;
-        config.attacker_wait_h = 3.0;
-        config.park_value = true;
-        config.platform = pinRegion(52, 2);
-        config.arith.dsp_count = 8;
-        config.seed = 5252;
+        pc::Experiment3Config config = exp3PinConfig();
         config.pool = pool;
         Fnv1a h;
         h.result(pc::runExperiment3(config));
@@ -593,19 +644,7 @@ TEST(DriverPins, Experiment3WaitAndParkOne)
 TEST(DriverPins, Tm1Extraction)
 {
     expectPinned(0x1fe525da3d712648ULL, [](pu::ThreadPool *pool) {
-        pcl::CloudPlatform platform(pinRegion(53, 2));
-        pf::Device scratch(pc::awsF1Silicon(7));
-        const pc::SecretBundle bundle = pc::makeSecretTarget(
-            scratch, {true, false, true, false}, 2000.0, "pin_afi");
-        const std::string afi_id = platform.marketplace().publish(
-            "vendor", bundle.design, bundle.skeleton);
-        pc::Tm1Options options;
-        options.burn_hours = 9.0;
-        options.measure_every_h = 2.5;
-        options.seed = 5353;
-        options.pool = pool;
-        const pc::Tm1Report report =
-            pc::extractDesignData(platform, afi_id, options);
+        const pc::Tm1Report report = runTm1Pin(pool, 2.5);
         Fnv1a h;
         h.str(report.instance_id);
         h.result(report.result);
@@ -618,16 +657,7 @@ TEST(DriverPins, Tm1Extraction)
 TEST(DriverPins, Tm2Recovery)
 {
     expectPinned(0xfeb7323fc4a9e355ULL, [](pu::ThreadPool *pool) {
-        pcl::CloudPlatform platform(pinRegion(54, 2));
-        pc::Tm2Options options;
-        options.victim_hours = 30.0;
-        options.recovery_hours = 5.0;
-        options.measure_every_h = 1.5;
-        options.route_ps = 2000.0;
-        options.seed = 5454;
-        options.pool = pool;
-        const pc::Tm2Report report = pc::recoverUserData(
-            platform, {true, true, false, true}, options);
+        const pc::Tm2Report report = runTm2Pin(pool, 1.5);
         Fnv1a h;
         h.str(report.victim_instance);
         h.str(report.attacker_instance);
@@ -639,6 +669,90 @@ TEST(DriverPins, Tm2Recovery)
         h.bits(report.recovered_bits);
         return h.value();
     });
+}
+
+// ------------------------------------------------ schedule checks
+
+TEST(Schedule, WalksAbsoluteBoundsAndKeepsTheRemainder)
+{
+    std::vector<double> steps;
+    std::vector<double> measured;
+    const double end = pc::runSchedule(
+        1.0, 3.5, 1.0,
+        [&](double t, double dt) {
+            steps.push_back(t);
+            steps.push_back(dt);
+        },
+        [&](double t) { measured.push_back(t); });
+    EXPECT_EQ(end, 3.5);
+    EXPECT_EQ(steps, (std::vector<double>{1.0, 1.0, 2.0, 1.0, 3.0, 0.5}));
+    EXPECT_EQ(measured, (std::vector<double>{2.0, 3.0, 3.5}));
+
+    // An empty span (or one shorter than the step tolerance) is legal
+    // and takes no step.
+    int calls = 0;
+    const auto count = [&](double, double) { ++calls; };
+    EXPECT_EQ(pc::runSchedule(4.0, 4.0, 1.0, count, [](double) {}), 4.0);
+    EXPECT_EQ(pc::runSchedule(4.0, 4.0 - 1e-12, 1.0, count, [](double) {}),
+              4.0);
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(Schedule, BadCadenceOrBoundsAreFatal)
+{
+    const auto none = [](double, double) {};
+    const auto skip = [](double) {};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(pc::runSchedule(0.0, 1.0, 0.0, none, skip),
+                 pu::FatalError);
+    EXPECT_THROW(pc::runSchedule(0.0, 1.0, nan, none, skip),
+                 pu::FatalError);
+    EXPECT_THROW(pc::runSchedule(0.0, 1.0, inf, none, skip),
+                 pu::FatalError);
+    EXPECT_THROW(pc::runSchedule(2.0, 1.0, 1.0, none, skip),
+                 pu::FatalError);
+    EXPECT_THROW(pc::runSchedule(0.0, inf, 1.0, none, skip),
+                 pu::FatalError);
+    EXPECT_THROW(pc::runSchedule(nan, 1.0, 1.0, none, skip),
+                 pu::FatalError);
+}
+
+TEST(Schedule, EveryDriverRejectsANonPositiveCadence)
+{
+    // Each row used to loop forever at a zero cadence.
+    const std::vector<std::pair<const char *, std::function<void(double)>>>
+        drivers = {
+            {"runExperiment1",
+             [](double every) {
+                 pc::Experiment1Config config = goldenConfig();
+                 config.measure_every_h = every;
+                 pc::runExperiment1(config);
+             }},
+            {"runExperiment2",
+             [](double every) {
+                 pc::Experiment2Config config = exp2PinConfig();
+                 config.measure_every_h = every;
+                 pc::runExperiment2(config);
+             }},
+            {"runExperiment3",
+             [](double every) {
+                 pc::Experiment3Config config = exp3PinConfig();
+                 config.measure_every_h = every;
+                 pc::runExperiment3(config);
+             }},
+            {"extractDesignData",
+             [](double every) { runTm1Pin(nullptr, every); }},
+            {"recoverUserData",
+             [](double every) { runTm2Pin(nullptr, every); }},
+        };
+    for (const double every :
+         {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+        for (const auto &[name, run] : drivers) {
+            EXPECT_THROW(run(every), pu::FatalError)
+                << name << " at measure_every_h = " << every;
+        }
+    }
 }
 
 } // namespace
