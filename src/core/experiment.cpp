@@ -110,7 +110,7 @@ loadChecked(cloud::CloudPlatform &platform, const std::string &instance_id,
             std::shared_ptr<const fabric::Design> design, const char *what)
 {
     if (!platform.loadDesign(instance_id, std::move(design)).empty()) {
-        util::fatal(std::string(what) + " failed DRC");
+        util::fatal(std::string(what) + " failed DRC on " + instance_id);
     }
 }
 

@@ -174,7 +174,7 @@ class SweepRecorder
     std::size_t sweeps_ = 0;
 };
 
-/** Load a design on a rented board; fatal "<what> failed DRC". */
+/** Load a design on a rented board; fatal "<what> failed DRC on <id>". */
 void loadChecked(cloud::CloudPlatform &platform,
                  const std::string &instance_id,
                  std::shared_ptr<const fabric::Design> design,
