@@ -15,21 +15,51 @@
 
 namespace pentimento::bench {
 
+namespace {
+
+/**
+ * Parse a whole decimal string as a long in [min_value, max_value];
+ * fatals naming `what` on anything else (trailing junk, overflow, or
+ * out of range).
+ */
+long
+parseLongValue(const char *text, const char *what, long min_value,
+               long max_value)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        value < min_value || value > max_value) {
+        util::fatal(std::string("bench: bad value for ") + what);
+    }
+    return value;
+}
+
+/**
+ * Total lanes named by PENTIMENTO_WORKERS, or 0 when it is unset. A
+ * set but malformed value fatals exactly like a bad `--workers`.
+ */
+long
+lanesFromEnv()
+{
+    const char *env = std::getenv("PENTIMENTO_WORKERS");
+    return env == nullptr
+               ? 0
+               : parseLongValue(env, "PENTIMENTO_WORKERS", 1, INT_MAX);
+}
+
+} // namespace
+
 int
 parseWorkers(int argc, char **argv)
 {
     // Fallback 0 marks "flag absent": a present value must be >= 1.
-    const long lanes =
-        parseLongFlag(argc, argv, "--workers", 0, 1, INT_MAX);
-    if (lanes > 0) {
-        return static_cast<int>(lanes);
+    long lanes = parseLongFlag(argc, argv, "--workers", 0, 1, INT_MAX);
+    if (lanes == 0) {
+        lanes = lanesFromEnv();
     }
-    // Environment fallback goes through the library's single parser
-    // of PENTIMENTO_WORKERS so the lanes convention can't drift.
-    if (const auto env_lanes = util::ThreadPool::lanesFromEnv()) {
-        return static_cast<int>(*env_lanes);
-    }
-    return 1;
+    return lanes > 0 ? static_cast<int>(lanes) : 1;
 }
 
 long
@@ -44,14 +74,7 @@ parseLongFlag(int argc, char **argv, const char *flag, long fallback,
             util::fatal(std::string("bench: missing value for ") +
                         flag);
         }
-        char *end = nullptr;
-        errno = 0;
-        const long value = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0' || errno == ERANGE ||
-            value < min_value || value > max_value) {
-            util::fatal(std::string("bench: bad value for ") + flag);
-        }
-        return value;
+        return parseLongValue(argv[i + 1], flag, min_value, max_value);
     }
     return fallback;
 }
@@ -74,7 +97,8 @@ makePool(int argc, char **argv)
     try {
         lanes = parseWorkers(argc, argv);
     } catch (const util::FatalError &error) {
-        // A bad --workers is a usage error: exit, never abort.
+        // A bad --workers or PENTIMENTO_WORKERS is a usage error:
+        // exit before any thread is spawned, never abort.
         std::fprintf(stderr, "%s\n", error.what());
         std::exit(2);
     }

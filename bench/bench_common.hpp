@@ -18,10 +18,10 @@ namespace pentimento::bench {
 
 /**
  * Total parallel lanes requested on the command line: `--workers N`
- * wins, then PENTIMENTO_WORKERS, then 1 (serial). Benches are
- * deterministic by construction, so lanes only change wall-clock,
- * never output. A malformed or non-positive `--workers` fatals, the
- * same as parseLongFlag().
+ * wins, then the PENTIMENTO_WORKERS environment variable, then 1
+ * (serial). Benches are deterministic by construction, so lanes only
+ * change wall-clock, never output. A malformed, non-positive or
+ * past-INT_MAX value of either fatals, the same as parseLongFlag().
  */
 int parseWorkers(int argc, char **argv);
 
@@ -45,7 +45,7 @@ bool hasFlag(int argc, char **argv, const char *flag);
  * parseWorkers() - 1 extra threads (the caller is the final lane).
  * With --workers 1 the pool has zero workers and every
  * parallelMap/parallelFor degenerates to the serial loop. A bad
- * --workers prints the error and exits 2.
+ * --workers or PENTIMENTO_WORKERS prints the error and exits 2.
  */
 std::unique_ptr<util::ThreadPool> makePool(int argc, char **argv);
 

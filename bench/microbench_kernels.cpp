@@ -305,8 +305,6 @@ void
 runMeasureSweepParallel(benchmark::State &state, bool fast_sampling)
 {
     util::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
-    util::ThreadPool *handle =
-        pool.workerCount() > 0 ? &pool : nullptr;
     fabric::Device device{fabric::DeviceConfig{}};
     std::vector<fabric::RouteSpec> routes;
     for (int r = 0; r < state.range(0); ++r) {
@@ -317,10 +315,10 @@ runMeasureSweepParallel(benchmark::State &state, bool fast_sampling)
     config.fast_sampling = fast_sampling;
     tdc::MeasureDesign design(device, routes, config);
     util::Rng rng(1);
-    design.calibrateAll(333.15, rng, handle);
+    design.calibrateAll(333.15, rng, &pool);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            design.measureAll(333.15, rng, handle));
+            design.measureAll(333.15, rng, &pool));
     }
     state.SetLabel(std::to_string(state.range(0)) + " sensors, " +
                    std::to_string(state.range(1) + 1) + " lanes" +

@@ -765,17 +765,11 @@ void
 Device::sweepElements(std::size_t count,
                       const std::function<void(std::size_t)> &body)
 {
-    if (pool_ == nullptr || pool_->workerCount() == 0) {
-        for (std::size_t i = 0; i < count; ++i) {
-            body(i);
-        }
-        return;
-    }
     // Element updates are RNG-free and element-local, so the fan-out
     // is bit-identical to the serial loop for any worker count. No
     // design may be loaded concurrently (experiment phases alternate
     // serially), so the slab is stable for the duration.
-    pool_->parallelFor(0, count, body);
+    util::parallelFor(count, body, pool_);
 }
 
 void

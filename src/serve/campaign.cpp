@@ -807,13 +807,7 @@ runFleetScan(const FleetScanConfig &config)
             config.bram_channel ? &result.bram_boards[t] : nullptr);
         idleSlots(k + 1, end, begin, age);
     };
-    if (config.pool != nullptr) {
-        config.pool->parallelFor(0, end - begin, attackSlot);
-    } else {
-        for (std::size_t t = 0; t < end - begin; ++t) {
-            attackSlot(t);
-        }
-    }
+    util::parallelFor(end - begin, attackSlot, config.pool);
     // Every board this shard does not attack ages through all the
     // slots; then the platform clock catches up with the same spans.
     const auto attacked = [&](const std::string &id) {

@@ -64,13 +64,7 @@ MeasureDesign::calibrateAll(double temp_k, util::Rng &rng,
     const auto tune = [&](std::size_t i) {
         thetas[i] = sensors_[i].calibrate(temp_k, streams[i]);
     };
-    if (pool != nullptr) {
-        pool->parallelFor(0, sensors_.size(), tune);
-    } else {
-        for (std::size_t i = 0; i < sensors_.size(); ++i) {
-            tune(i);
-        }
-    }
+    util::parallelFor(sensors_.size(), tune, pool);
     return thetas;
 }
 
@@ -96,13 +90,7 @@ MeasureDesign::measureAll(double temp_k, util::Rng &rng,
     const auto probe = [&](std::size_t i) {
         sweep.per_route[i] = sensors_[i].measure(temp_k, streams[i]);
     };
-    if (pool != nullptr) {
-        pool->parallelFor(0, sensors_.size(), probe);
-    } else {
-        for (std::size_t i = 0; i < sensors_.size(); ++i) {
-            probe(i);
-        }
-    }
+    util::parallelFor(sensors_.size(), probe, pool);
     // Reduce serially, in index order, so the float sum never depends
     // on completion order.
     for (const Measurement &m : sweep.per_route) {

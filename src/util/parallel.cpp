@@ -1,139 +1,50 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
+#include <atomic>
 #include <exception>
-#include <string>
+#include <memory>
 
 namespace pentimento::util {
 
 ThreadPool::ThreadPool(std::size_t workers)
 {
-    if (workers == kAutoWorkers) {
-        workers = defaultWorkers();
-    }
-    queues_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    }
     threads_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i) {
-        threads_.emplace_back([this, i] { workerLoop(i); });
+        threads_.emplace_back([this] { workerLoop(); });
     }
 }
 
 ThreadPool::~ThreadPool()
 {
-    stopping_.store(true, std::memory_order_release);
-    wake_cv_.notify_all();
-    for (std::thread &thread : threads_) {
-        if (thread.joinable()) {
-            thread.join();
-        }
-    }
-}
-
-std::optional<std::size_t>
-ThreadPool::lanesFromEnv()
-{
-    if (const char *env = std::getenv("PENTIMENTO_WORKERS")) {
-        const long lanes = std::strtol(env, nullptr, 10);
-        if (lanes >= 1) {
-            return static_cast<std::size_t>(lanes);
-        }
-    }
-    return std::nullopt;
-}
-
-std::size_t
-ThreadPool::defaultWorkers()
-{
-    if (const auto lanes = lanesFromEnv()) {
-        // The env var names total lanes; the caller is one lane.
-        return *lanes - 1;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 1 ? hw - 1 : 0;
-}
-
-ThreadPool &
-ThreadPool::shared()
-{
-    static ThreadPool pool;
-    return pool;
-}
-
-void
-ThreadPool::submit(Task task)
-{
-    if (queues_.empty()) {
-        task();
-        return;
-    }
-    const std::size_t slot =
-        next_queue_.fetch_add(1, std::memory_order_relaxed) %
-        queues_.size();
     {
-        std::lock_guard<std::mutex> lock(queues_[slot]->mutex);
-        queues_[slot]->tasks.push_back(std::move(task));
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
     }
-    wake_cv_.notify_one();
-}
-
-bool
-ThreadPool::popLocal(std::size_t self, Task &out)
-{
-    WorkerQueue &queue = *queues_[self];
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    if (queue.tasks.empty()) {
-        return false;
+    wake_.notify_all();
+    for (std::thread &thread : threads_) {
+        thread.join();
     }
-    // LIFO at the owner's end: the freshest task is the one whose
-    // working set is still warm in this core's cache.
-    out = std::move(queue.tasks.back());
-    queue.tasks.pop_back();
-    return true;
-}
-
-bool
-ThreadPool::stealFrom(std::size_t self, Task &out)
-{
-    const std::size_t n = queues_.size();
-    for (std::size_t hop = 1; hop < n; ++hop) {
-        WorkerQueue &victim = *queues_[(self + hop) % n];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            // FIFO from the victim's cold end, the classic
-            // work-stealing asymmetry.
-            out = std::move(victim.tasks.front());
-            victim.tasks.pop_front();
-            return true;
-        }
-    }
-    return false;
 }
 
 void
-ThreadPool::workerLoop(std::size_t self)
+ThreadPool::workerLoop()
 {
     for (;;) {
-        Task task;
-        if (popLocal(self, task) || stealFrom(self, task)) {
-            task();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        if (stopping_.load(std::memory_order_acquire)) {
-            // Drain everything still queued before exiting so
-            // submitted work is never silently dropped.
-            lock.unlock();
-            while (popLocal(self, task) || stealFrom(self, task)) {
-                task();
+        std::function<void()> task;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_.wait(lock,
+                       [this] { return stopping_ || !queue_.empty(); });
+            // Queued helpers still run after stopping_ is set; they
+            // return at once when their loop has already drained.
+            if (queue_.empty()) {
+                return;
             }
-            return;
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
-        wake_cv_.wait_for(lock, std::chrono::milliseconds(50));
+        task();
     }
 }
 
@@ -145,13 +56,12 @@ struct LoopState
     std::size_t begin = 0;
     std::size_t end = 0;
     std::size_t chunk = 1;
+    std::size_t chunk_count = 0;
     const std::function<void(std::size_t)> *body = nullptr;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::size_t chunk_count = 0;
-    std::mutex finish_mutex;
-    std::condition_variable finish_cv;
-    std::mutex error_mutex;
+    std::mutex mutex;
+    std::condition_variable finished;
+    std::size_t done = 0;
     std::exception_ptr error;
 
     /** Claim and run chunks until the iteration space is exhausted. */
@@ -166,20 +76,20 @@ struct LoopState
             }
             const std::size_t lo = begin + c * chunk;
             const std::size_t hi = std::min(end, lo + chunk);
+            std::exception_ptr thrown;
             try {
                 for (std::size_t i = lo; i < hi; ++i) {
                     (*body)(i);
                 }
             } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error) {
-                    error = std::current_exception();
-                }
+                thrown = std::current_exception();
             }
-            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-                chunk_count) {
-                std::lock_guard<std::mutex> lock(finish_mutex);
-                finish_cv.notify_all();
+            std::lock_guard<std::mutex> lock(mutex);
+            if (thrown && !error) {
+                error = thrown;
+            }
+            if (++done == chunk_count) {
+                finished.notify_all();
             }
         }
     }
@@ -202,43 +112,39 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         return;
     }
 
-    // Over-decompose ~4 chunks per lane so stealing can balance
-    // heterogeneous iteration costs without per-index task overhead.
+    // About 4 chunks per lane, so lanes that finish early pick up the
+    // slack of heterogeneous iteration costs without per-index
+    // overhead.
     auto state = std::make_shared<LoopState>();
     state->begin = begin;
     state->end = end;
     state->body = &body;
-    const std::size_t lanes = concurrency();
-    state->chunk = std::max<std::size_t>(1, n / (lanes * 4));
-    state->chunk_count =
-        (n + state->chunk - 1) / state->chunk;
+    state->chunk = std::max<std::size_t>(1, n / (concurrency() * 4));
+    state->chunk_count = (n + state->chunk - 1) / state->chunk;
 
+    // A helper may be dequeued after this call returns; it then finds
+    // no chunk left and only drops its reference to the state.
     const std::size_t helpers =
         std::min(workerCount(), state->chunk_count - 1);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (std::size_t w = 0; w < helpers; ++w) {
+            queue_.emplace_back([state] { state->drain(); });
+        }
+    }
     for (std::size_t w = 0; w < helpers; ++w) {
-        submit([state] { state->drain(); });
+        wake_.notify_one();
     }
     // The caller is a full participant: with zero idle workers the
     // loop still completes (and nested parallelFor can't deadlock).
     state->drain();
 
-    std::unique_lock<std::mutex> lock(state->finish_mutex);
-    state->finish_cv.wait(lock, [&] {
-        return state->done.load(std::memory_order_acquire) ==
-               state->chunk_count;
-    });
-    lock.unlock();
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->finished.wait(
+        lock, [&] { return state->done == state->chunk_count; });
     if (state->error) {
         std::rethrow_exception(state->error);
     }
-}
-
-void
-parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
-            ThreadPool *pool)
-{
-    ThreadPool &target = pool != nullptr ? *pool : ThreadPool::shared();
-    target.parallelFor(0, n, body);
 }
 
 std::vector<Rng>

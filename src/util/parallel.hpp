@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing thread pool and deterministic parallel primitives.
+ * Single-queue thread pool and deterministic parallel primitives.
  *
  * Route-scale campaigns (ablation grids, measurement sweeps over
  * thousands of routes, route-group fan-out) are embarrassingly
@@ -16,28 +16,28 @@
  *  - therefore the same seed produces identical output for 1 worker,
  *    N workers, or the serial fallback.
  *
- * The pool itself is a classic work-stealing design: one deque per
- * worker, LIFO at the owner's end for cache locality, FIFO steals
- * from victims when a worker runs dry. parallelFor callers
- * participate in execution, so nested parallel sections and
+ * The pool is one mutex-guarded queue of loop helpers. A parallelFor
+ * splits its range into chunks claimed from one atomic counter, so
+ * the caller and every helper balance the load between them. The
+ * caller takes part in the work, so nested parallel sections and
  * zero-worker pools degrade to serial execution instead of
- * deadlocking.
+ * deadlocking. Everywhere a pool is optional, a null pool means
+ * "run serially, in index order".
  */
 
 #ifndef PENTIMENTO_UTIL_PARALLEL_HPP
 #define PENTIMENTO_UTIL_PARALLEL_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -45,24 +45,19 @@
 namespace pentimento::util {
 
 /**
- * Work-stealing thread pool.
+ * Fixed-size thread pool with one shared queue.
  *
  * `workers` is the number of *extra* threads; parallelFor callers
  * execute work too, so a pool with W workers runs loops at W+1-way
  * parallelism. A pool with zero workers is valid and runs everything
  * inline in the caller — the degenerate case every determinism test
- * compares against.
+ * compares against. Any number of threads may call parallelFor on one
+ * pool at once.
  */
 class ThreadPool
 {
   public:
-    using Task = std::function<void()>;
-
-    /** @param workers extra threads; kAutoWorkers picks from the env. */
-    static constexpr std::size_t kAutoWorkers =
-        static_cast<std::size_t>(-1);
-
-    explicit ThreadPool(std::size_t workers = kAutoWorkers);
+    explicit ThreadPool(std::size_t workers);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -73,9 +68,6 @@ class ThreadPool
 
     /** Total lanes a parallelFor fans out to (workers + caller). */
     std::size_t concurrency() const { return threads_.size() + 1; }
-
-    /** Enqueue a fire-and-forget task onto the least-loaded deque. */
-    void submit(Task task);
 
     /**
      * Run body(i) for every i in [begin, end), blocking until all
@@ -114,54 +106,37 @@ class ThreadPool
         parallelFor(begin, end, erased);
     }
 
-    /**
-     * Total lanes requested via PENTIMENTO_WORKERS, if set and valid
-     * (>= 1). The single parser of that variable: defaultWorkers()
-     * and the bench `--workers` fallback both consume it, so the
-     * lanes convention can't drift between library and benches.
-     */
-    static std::optional<std::size_t> lanesFromEnv();
-
-    /**
-     * Default worker count: lanesFromEnv() - 1 when the environment
-     * names a lane count (the caller is one lane), otherwise
-     * hardware_concurrency() - 1.
-     */
-    static std::size_t defaultWorkers();
-
-    /** Process-wide shared pool, created on first use. */
-    static ThreadPool &shared();
-
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<Task> tasks;
-    };
+    void workerLoop();
 
-    void workerLoop(std::size_t self);
-    bool popLocal(std::size_t self, Task &out);
-    bool stealFrom(std::size_t self, Task &out);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    std::deque<std::function<void()>> queue_; // guarded by mutex_
+    bool stopping_ = false;                   // guarded by mutex_
     std::vector<std::thread> threads_;
-    std::mutex wake_mutex_;
-    std::condition_variable wake_cv_;
-    std::atomic<bool> stopping_{false};
-    std::atomic<std::size_t> next_queue_{0};
 };
 
 /**
- * Run body(i) for i in [0, n) on a pool (the shared pool when null),
- * preserving the determinism contract described in the file header.
+ * Run body(i) for i in [0, n): on `pool` when one is given, otherwise
+ * serially in index order on the calling thread. Either way the
+ * determinism contract described in the file header holds.
  */
-void parallelFor(std::size_t n,
-                 const std::function<void(std::size_t)> &body,
-                 ThreadPool *pool = nullptr);
+template <typename Body>
+void
+parallelFor(std::size_t n, Body &&body, ThreadPool *pool = nullptr)
+{
+    if (pool == nullptr) {
+        for (std::size_t i = 0; i < n; ++i) {
+            body(i);
+        }
+        return;
+    }
+    pool->parallelFor(0, n, std::forward<Body>(body));
+}
 
 /**
- * Map i in [0, n) to results[i] = fn(i) in parallel. Output order is
- * index order regardless of scheduling.
+ * Map i in [0, n) to results[i] = fn(i), on `pool` or serially when
+ * it is null. Output order is index order regardless of scheduling.
  */
 template <typename T, typename Fn>
 std::vector<T>

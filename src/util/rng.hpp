@@ -139,40 +139,6 @@ class Rng
     }
 
     /**
-     * Fill out[0..n) with normal variates, bit-identical to n
-     * sequential gaussian(mean, sd) calls — including the polar
-     * method's cached second variate, which is honoured on entry and
-     * re-cached on exit when n is odd. Batching lets hot loops (TDC
-     * jitter per trace) hoist the per-call branch without perturbing
-     * any draw sequence.
-     */
-    void
-    gaussianBlock(double mean, double sd, double *out, std::size_t n)
-    {
-        std::size_t i = 0;
-        if (have_cached_ && i < n) {
-            have_cached_ = false;
-            out[i++] = mean + sd * cached_;
-        }
-        while (i < n) {
-            double u, v, s;
-            do {
-                u = uniform(-1.0, 1.0);
-                v = uniform(-1.0, 1.0);
-                s = u * u + v * v;
-            } while (s >= 1.0 || s == 0.0);
-            const double m = std::sqrt(-2.0 * std::log(s) / s);
-            out[i++] = mean + sd * (u * m);
-            if (i < n) {
-                out[i++] = mean + sd * (v * m);
-            } else {
-                cached_ = v * m;
-                have_cached_ = true;
-            }
-        }
-    }
-
-    /**
      * Standard normal variate via a 256-layer Marsaglia-Tsang
      * ziggurat: ~1 raw draw and zero transcendental calls for ~99% of
      * variates, vs ~2.5 draws plus sqrt+log for the polar method.

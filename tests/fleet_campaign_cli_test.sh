@@ -7,11 +7,13 @@ set -u
 
 bin="${1:?usage: fleet_campaign_cli_test.sh <fleet_campaign-binary>}"
 failures=0
+# Extra NAME=value words for `env`, set by the environment rows below.
+run_env=
 
 expect_usage_error() {
     desc="$1"
     shift
-    err=$("$bin" "$@" 2>&1 >/dev/null)
+    err=$(env $run_env "$bin" "$@" 2>&1 >/dev/null)
     code=$?
     if [ "$code" -ne 2 ]; then
         echo "FAIL [$desc]: exit $code, want 2" >&2
@@ -48,6 +50,14 @@ expect_usage_error "--years past long"  --fleet 4 --years 99999999999999999999
 expect_usage_error "--shards past u32"  --fleet 4 --shards 4294967297
 expect_usage_error "--shards too many"  --fleet 4 --shards 65
 expect_usage_error "ckpt past int"      --fleet 4 --checkpoint-every 2147483648
+# PENTIMENTO_WORKERS, the fallback for --workers, parses just as
+# strictly: trailing junk, zero and values past INT_MAX must refuse
+# before any worker thread is spawned.
+for value in junk 4x 0 2147483648; do
+    run_env="PENTIMENTO_WORKERS=$value"
+    expect_usage_error "$run_env" --fleet 4
+done
+run_env=
 
 # A valid (tiny) invocation must pass the whitelist and succeed.
 if ! "$bin" --fleet 4 --years 1 --seed 7 >/dev/null 2>&1; then

@@ -107,26 +107,51 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
     EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ThreadPool, SubmitDrainsBeforeDestruction)
+TEST(ThreadPool, ConcurrentCallersShareOnePool)
 {
-    std::atomic<int> ran{0};
-    {
-        util::ThreadPool pool(2);
-        for (int i = 0; i < 200; ++i) {
-            pool.submit([&] { ran.fetch_add(1); });
+    // The campaign server's executors call parallelFor on one shared
+    // pool at the same time; each loop must still cover its own range
+    // exactly once.
+    util::ThreadPool pool(3);
+    constexpr std::size_t kCallers = 4;
+    constexpr std::size_t kN = 1000;
+    constexpr int kRounds = 5;
+    std::vector<std::atomic<int>> hits(kCallers * kN);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (int round = 0; round < kRounds; ++round) {
+                pool.parallelFor(0, kN, [&](std::size_t i) {
+                    hits[c * kN + i].fetch_add(1);
+                });
+            }
+        });
+    }
+    for (std::thread &caller : callers) {
+        caller.join();
+    }
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        for (std::size_t i = 0; i < kN; ++i) {
+            EXPECT_EQ(hits[c * kN + i].load(), kRounds)
+                << "caller " << c << " index " << i;
         }
     }
-    EXPECT_EQ(ran.load(), 200);
 }
 
-TEST(ThreadPool, DefaultWorkersHonorsEnvironment)
+TEST(ThreadPool, DestroyRightAfterParallelForIsSafe)
 {
-    // PENTIMENTO_WORKERS names total lanes; the pool spawns one fewer.
-    ::setenv("PENTIMENTO_WORKERS", "4", 1);
-    EXPECT_EQ(util::ThreadPool::defaultWorkers(), 3u);
-    ::setenv("PENTIMENTO_WORKERS", "1", 1);
-    EXPECT_EQ(util::ThreadPool::defaultWorkers(), 0u);
-    ::unsetenv("PENTIMENTO_WORKERS");
+    // parallelFor may return while some of its helpers are still
+    // queued (the caller drained every chunk first); destroying the
+    // pool then must neither hang nor touch the finished loop's body.
+    for (int round = 0; round < 50; ++round) {
+        std::atomic<int> ran{0};
+        {
+            util::ThreadPool pool(3);
+            pool.parallelFor(0, 64,
+                             [&](std::size_t) { ran.fetch_add(1); });
+        }
+        EXPECT_EQ(ran.load(), 64);
+    }
 }
 
 TEST(SplitStreams, StreamsAreStableAndIndependentOfConsumption)
@@ -166,11 +191,32 @@ TEST(SplitStreams, DistinctIndicesAndTagsDiverge)
 
 TEST(ParallelMap, PreservesIndexOrder)
 {
+    util::ThreadPool pool(3);
     const std::vector<int> out = util::parallelMap<int>(
-        257, [](std::size_t i) { return static_cast<int>(i) * 3; });
+        257, [](std::size_t i) { return static_cast<int>(i) * 3; },
+        &pool);
     ASSERT_EQ(out.size(), 257u);
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], static_cast<int>(i) * 3);
+    }
+}
+
+TEST(ParallelMap, NullPoolRunsSeriallyOnTheCaller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    const std::vector<std::thread::id> seen =
+        util::parallelMap<std::thread::id>(
+            64,
+            [&](std::size_t i) {
+                order.push_back(i);
+                return std::this_thread::get_id();
+            },
+            nullptr);
+    ASSERT_EQ(order.size(), 64u);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(order[i], i);
+        EXPECT_EQ(seen[i], caller) << "index " << i;
     }
 }
 

@@ -157,42 +157,6 @@ TEST(Rng, SplitByTagIsDeterministic)
     }
 }
 
-TEST(Rng, GaussianBlockMatchesSequentialDraws)
-{
-    for (const std::size_t n : {1u, 2u, 7u, 8u, 33u}) {
-        pu::Rng seq(41), blk(41);
-        std::vector<double> expected(n), got(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            expected[i] = seq.gaussian(3.0, 0.7);
-        }
-        blk.gaussianBlock(3.0, 0.7, got.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(expected[i], got[i]) << "n=" << n << " i=" << i;
-        }
-        // The polar method caches its second variate; the block must
-        // leave the generator in the same cached state as the loop.
-        EXPECT_EQ(seq.gaussian(), blk.gaussian());
-        EXPECT_EQ(seq(), blk());
-    }
-}
-
-TEST(Rng, GaussianBlockHonoursPreCachedVariate)
-{
-    pu::Rng seq(43), blk(43);
-    // Prime both generators with one draw so a cached second variate
-    // is pending when the block starts.
-    EXPECT_EQ(seq.gaussian(), blk.gaussian());
-    std::vector<double> expected(5), got(5);
-    for (auto &v : expected) {
-        v = seq.gaussian(-1.0, 2.5);
-    }
-    blk.gaussianBlock(-1.0, 2.5, got.data(), got.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(expected[i], got[i]);
-    }
-    EXPECT_EQ(seq(), blk());
-}
-
 TEST(Rng, GaussianFastMoments)
 {
     pu::Rng rng(47);
