@@ -2,13 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * BTI kinetics steps, aged-delay evaluation, TDC captures and full
- * measurement sweeps, and whole-device aging steps. These bound the
- * wall-clock cost of the figure benches.
+ * measurement sweeps, whole-device aging steps, and the fleet
+ * campaign's day loop. These bound the wall-clock cost of the figure
+ * benches.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "cloud/ambient.hpp"
 #include "cloud/platform.hpp"
@@ -17,6 +19,7 @@
 #include "phys/aging.hpp"
 #include "phys/bti.hpp"
 #include "phys/thermal.hpp"
+#include "serve/campaign.hpp"
 #include "tdc/measure_design.hpp"
 #include "tdc/tdc.hpp"
 #include "util/parallel.hpp"
@@ -363,6 +366,40 @@ BM_ThreadPoolOverhead(benchmark::State &state)
     state.SetLabel(std::to_string(state.range(0) + 1) + " lanes");
 }
 BENCHMARK(BM_ThreadPoolOverhead)->Arg(0)->Arg(3);
+
+void
+BM_FleetSimulationPhase(benchmark::State &state)
+{
+    // The fleet campaign's day loop alone: perfbench's `campaign`
+    // shape (runFleetScan defaults: 112 boards, a simulated year of
+    // tenancies, 8 routes each) with no board scanned, so the timing
+    // is the rents, loads, releases and daily advances and nothing of
+    // the TM2 scan. Wall time, at 1 and 4 lanes. The /4/8 run adds
+    // the default 8-board scan: the whole campaign, against which the
+    // /4/0 run is the day loop's share.
+    const auto lanes = static_cast<std::size_t>(state.range(0));
+    util::ThreadPool pool(lanes - 1);
+    serve::FleetScanConfig config;
+    config.max_measured = static_cast<std::size_t>(state.range(1));
+    config.pool = &pool;
+    for (auto _ : state) {
+        const util::Expected<serve::FleetScanResult> result =
+            serve::runFleetScan(config);
+        if (!result.ok()) {
+            state.SkipWithError(result.error().c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(result.value().tenancies);
+    }
+    state.SetLabel(std::to_string(lanes) + " lanes, " +
+                   std::to_string(config.max_measured) + " scanned");
+}
+BENCHMARK(BM_FleetSimulationPhase)
+    ->Args({1, 0})
+    ->Args({4, 0})
+    ->Args({4, 8})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 

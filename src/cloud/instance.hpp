@@ -97,6 +97,18 @@ class FpgaInstance
      */
     void advanceHours(double hours, double step_h = 1.0);
 
+    /**
+     * Allocate a route on this card's fabric without observing the
+     * card: allocation reads only the device's allocation cursor,
+     * never aging state, so no deferred idle time is walked. A caller
+     * may book a tenancy's routes before the card's device work runs.
+     */
+    fabric::RouteSpec
+    allocateRoute(const std::string &name, double target_ps)
+    {
+        return device_.allocateRoute(name, target_ps);
+    }
+
     /** Per-instance measurement-noise stream. */
     util::Rng &rng() { return rng_; }
 

@@ -60,6 +60,16 @@ CloudPlatform::availableCount() const
 std::optional<std::string>
 CloudPlatform::rent()
 {
+    std::optional<std::string> id = bookRent();
+    if (id) {
+        handOver(*find(*id));
+    }
+    return id;
+}
+
+std::optional<std::string>
+CloudPlatform::bookRent()
+{
     std::vector<FpgaInstance *> candidates;
     for (const auto &inst : fleet_) {
         if (availableForRent(*inst)) {
@@ -93,17 +103,24 @@ CloudPlatform::rent()
         chosen = candidates[rng_.uniformIndex(candidates.size())];
         break;
     }
-    // Hand the board over with a clean configuration (drops any
-    // provider scrub design that ran while pooled).
-    chosen->device().wipe();
     if (config_.bram_scrub == BramScrubPolicy::ZeroOnRent) {
-        // Scrub at hand-over: catches content left by unclean
-        // teardowns that bypassed the release pipeline.
-        chosen->device().zeroBram();
         ++bram_scrub_ops_;
     }
     chosen->setRented(true);
     return chosen->id();
+}
+
+void
+CloudPlatform::handOver(FpgaInstance &inst) const
+{
+    // Hand the board over with a clean configuration (drops any
+    // provider scrub design that ran while pooled).
+    inst.device().wipe();
+    if (config_.bram_scrub == BramScrubPolicy::ZeroOnRent) {
+        // Scrub at hand-over: catches content left by unclean
+        // teardowns that bypassed the release pipeline.
+        inst.device().zeroBram();
+    }
 }
 
 std::vector<std::string>
@@ -126,14 +143,16 @@ CloudPlatform::find(const std::string &instance_id)
 void
 CloudPlatform::release(const std::string &instance_id)
 {
-    releaseImpl(instance_id, /*clean=*/true, 0.0, now_h_);
+    tearDown(bookRelease(instance_id, /*clean=*/true, now_h_),
+             /*clean=*/true, 0.0);
 }
 
 void
 CloudPlatform::releaseAt(const std::string &instance_id,
                          double released_at_h)
 {
-    releaseImpl(instance_id, /*clean=*/true, 0.0, released_at_h);
+    tearDown(bookRelease(instance_id, /*clean=*/true, released_at_h),
+             /*clean=*/true, 0.0);
 }
 
 void
@@ -144,34 +163,44 @@ CloudPlatform::releaseUnclean(const std::string &instance_id,
         util::fatal("CloudPlatform::releaseUnclean: bad off-power "
                     "hours");
     }
-    releaseImpl(instance_id, /*clean=*/false, off_power_hours, now_h_);
+    tearDown(bookRelease(instance_id, /*clean=*/false, now_h_),
+             /*clean=*/false, off_power_hours);
 }
 
-void
-CloudPlatform::releaseImpl(const std::string &instance_id, bool clean,
-                           double off_power_hours, double released_at_h)
+FpgaInstance &
+CloudPlatform::bookRelease(const std::string &instance_id, bool clean,
+                           double released_at_h)
 {
     FpgaInstance *inst = find(instance_id);
     if (inst == nullptr || !inst->rented()) {
         util::fatal("CloudPlatform::release: '" + instance_id +
                     "' is not rented");
     }
-    // Provider-side scrub: the configuration is cleared, the silicon
-    // keeps its BTI imprint.
-    inst->device().wipe();
-    if (!clean) {
-        // Unclean teardown: the board saw a power event on its way
-        // back to the pool. Content ages against retention; nothing
-        // on the interconnect side differs from a clean release.
-        inst->device().accrueBramOffPower(off_power_hours);
-    } else if (config_.bram_scrub == BramScrubPolicy::ZeroOnRelease) {
-        // The release-pipeline content scrub — exactly the step an
-        // unclean teardown bypasses.
-        inst->device().zeroBram();
+    if (clean && config_.bram_scrub == BramScrubPolicy::ZeroOnRelease) {
         ++bram_scrub_ops_;
     }
     inst->setRented(false);
     inst->setReleasedAtHour(released_at_h);
+    return *inst;
+}
+
+void
+CloudPlatform::tearDown(FpgaInstance &inst, bool clean,
+                        double off_power_hours) const
+{
+    // Provider-side scrub: the configuration is cleared, the silicon
+    // keeps its BTI imprint.
+    inst.device().wipe();
+    if (!clean) {
+        // Unclean teardown: the board saw a power event on its way
+        // back to the pool. Content ages against retention; nothing
+        // on the interconnect side differs from a clean release.
+        inst.device().accrueBramOffPower(off_power_hours);
+    } else if (config_.bram_scrub == BramScrubPolicy::ZeroOnRelease) {
+        // The release-pipeline content scrub — exactly the step an
+        // unclean teardown bypasses.
+        inst.device().zeroBram();
+    }
 
     if (config_.active_scrub) {
         // Best-effort analog scrub: toggle everything that was ever
@@ -183,14 +212,14 @@ CloudPlatform::releaseImpl(const std::string &instance_id, bool clean,
         // too — it is erasing what it cannot see.
         auto scrub = std::make_shared<fabric::Design>("provider_scrub");
         for (const fabric::ResourceId &id :
-             inst->device().imprintedIds()) {
+             inst.device().imprintedIds()) {
             scrub->setElementActivity(
                 id, fabric::ElementActivity{fabric::Activity::Toggle,
                                             0.5});
         }
         scrub->setPowerW(10.0);
         if (scrub->configuredElements() > 0) {
-            inst->device().loadDesign(std::move(scrub));
+            inst.device().loadDesign(std::move(scrub));
         }
     }
 }
@@ -210,11 +239,24 @@ std::vector<fabric::DrcViolation>
 CloudPlatform::loadDesign(const std::string &instance_id,
                           std::shared_ptr<const fabric::Design> design)
 {
+    return configure(bookLoad(instance_id), std::move(design));
+}
+
+FpgaInstance &
+CloudPlatform::bookLoad(const std::string &instance_id)
+{
     FpgaInstance *inst = find(instance_id);
     if (inst == nullptr || !inst->rented()) {
         util::fatal("CloudPlatform::loadDesign: '" + instance_id +
                     "' is not rented");
     }
+    return *inst;
+}
+
+std::vector<fabric::DrcViolation>
+CloudPlatform::configure(FpgaInstance &inst,
+                         std::shared_ptr<const fabric::Design> design) const
+{
     if (!design) {
         util::fatal("CloudPlatform::loadDesign: null design");
     }
@@ -222,7 +264,7 @@ CloudPlatform::loadDesign(const std::string &instance_id,
     if (!violations.empty()) {
         return violations;
     }
-    inst->device().loadDesign(std::move(design));
+    inst.device().loadDesign(std::move(design));
     return {};
 }
 

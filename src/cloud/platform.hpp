@@ -198,6 +198,50 @@ class CloudPlatform
      */
     void advanceClock(double hours);
 
+    // ---- Split steps ---------------------------------------------
+    //
+    // rent(), the releases and loadDesign() are each a bookkeeping
+    // step (rented flags, release hours, the scheduler rng, the scrub
+    // counter) followed by a device step that touches only that
+    // board's silicon; advanceHours() is advanceClock() plus every
+    // board's FpgaInstance::advanceHours(). The public calls above run
+    // both halves back to back. A caller may instead run a batch of
+    // bookkeeping steps first and the device steps afterwards, each
+    // board's in booking order: every device then sees the same call
+    // sequence, so every byte of platform state comes out the same.
+    // Device steps read no bookkeeping, and device steps on different
+    // boards may run concurrently.
+
+    /** rent()'s bookkeeping: choose a board and mark it rented. The
+     *  caller owes handOver() on it. */
+    std::optional<std::string> bookRent();
+
+    /** rent()'s device step: a clean configuration, plus the
+     *  ZeroOnRent content scrub. */
+    void handOver(FpgaInstance &inst) const;
+
+    /** A release's bookkeeping: return the board to the pool stamped
+     *  `released_at_h`. Fatals when the board is not rented. The
+     *  caller owes tearDown() on the returned board, with the same
+     *  `clean`. */
+    FpgaInstance &bookRelease(const std::string &instance_id, bool clean,
+                              double released_at_h);
+
+    /** A release's device step: the wipe, then the ZeroOnRelease
+     *  scrub (clean) or `off_power_hours` of BRAM off-power (unclean),
+     *  then any active scrub design. */
+    void tearDown(FpgaInstance &inst, bool clean,
+                  double off_power_hours) const;
+
+    /** loadDesign()'s bookkeeping: the board, which must be rented. */
+    FpgaInstance &bookLoad(const std::string &instance_id);
+
+    /** loadDesign()'s device step: design rule checks, then the load
+     *  when they pass (violations are returned, nothing loaded). */
+    std::vector<fabric::DrcViolation>
+    configure(FpgaInstance &inst,
+              std::shared_ptr<const fabric::Design> design) const;
+
     /** Ids of all instances (diagnostics / experiments). */
     std::vector<std::string> allInstanceIds() const;
 
@@ -228,9 +272,6 @@ class CloudPlatform
   private:
     FpgaInstance *find(const std::string &instance_id);
     bool availableForRent(const FpgaInstance &inst) const;
-    /** Shared body of release()/releaseAt()/releaseUnclean(). */
-    void releaseImpl(const std::string &instance_id, bool clean,
-                     double off_power_hours, double released_at_h);
 
     PlatformConfig config_;
     Marketplace marketplace_;
@@ -246,7 +287,7 @@ class CloudPlatform
     std::unordered_map<std::string, std::size_t> index_;
     util::Rng rng_;
     double now_h_ = 0.0;
-    /** Atomic: releaseAt() may scrub boards concurrently. */
+    /** Atomic: releaseAt() may book releases concurrently. */
     std::atomic<std::uint64_t> bram_scrub_ops_{0};
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,9 +72,16 @@ struct Active
     double ends_at_h = 0.0;
     /** Day the tenant design was created — its identity, for resume. */
     int start_day = 0;
-    Tenancy record;
-    /** Kept only under journal_stress, for daily burn rotations. */
-    std::shared_ptr<fabric::TargetDesign> target;
+    /** On the heap, so a scheduled load can point at the record while
+     *  the ledger moves it around. */
+    std::unique_ptr<Tenancy> record;
+};
+
+/** A board's journal-stress design and the tenancy it burns. */
+struct StressSlot
+{
+    std::shared_ptr<fabric::TargetDesign> design;
+    const Tenancy *tenancy = nullptr;
 };
 
 /** Everything the day loop owns; what a checkpoint must capture. */
@@ -82,12 +90,50 @@ struct CampaignState
     std::unique_ptr<cloud::CloudPlatform> platform;
     util::Rng rng{424261};
     std::vector<Active> active;
-    std::vector<Tenancy> finished;
+    std::vector<std::unique_ptr<Tenancy>> finished;
+    /** Per board, in fleet order (journal_stress). Rebuilt from the
+     *  ledger on resume, like the designs themselves. */
+    std::vector<StressSlot> stress;
     int next_day = 0;
     /** Bytes of the last checkpoint image written or resumed from: a
      *  capacity hint for the next one, not itself checkpointed. */
     std::size_t checkpoint_bytes = 0;
 };
+
+/**
+ * One device step the day loop's bookkeeping phase schedules for a
+ * board. A board's steps replay in booking order, day by day.
+ */
+struct BoardOp
+{
+    enum class Kind : std::uint8_t
+    {
+        /** A release's device step (CloudPlatform::tearDown). */
+        TearDown,
+        /** A rent's device step (CloudPlatform::handOver). */
+        HandOver,
+        /** Build, check and load the tenant design; write its BRAM. */
+        Load,
+    };
+    Kind kind = Kind::Load;
+    int day = 0;
+    bool clean = true;
+    double off_power_h = 0.0;
+    /** The tenancy a Load configures. */
+    const Tenancy *tenancy = nullptr;
+};
+
+/** Fleet position of every board id, for the per-board arrays. */
+std::unordered_map<std::string, std::size_t>
+fleetIndex(const cloud::CloudPlatform &platform)
+{
+    std::unordered_map<std::string, std::size_t> index;
+    const std::vector<std::string> ids = platform.allInstanceIds();
+    for (std::size_t b = 0; b < ids.size(); ++b) {
+        index.emplace(ids[b], b);
+    }
+    return index;
+}
 
 /** Rebuild a tenant design exactly as the rent-time site makes it. */
 std::shared_ptr<fabric::TargetDesign>
@@ -104,12 +150,13 @@ makeTenantDesign(const Tenancy &tenancy, int start_day, bool golden)
         tenancy.specs, tenancy.bits, arith);
 }
 
-/** The journal-stress rotation a tenancy carries on day `day`. */
+/** The journal-stress rotation a board's tenancy carries on `day`. */
 void
-applyRotation(const Active &a, int day)
+applyRotation(const StressSlot &slot, int day)
 {
-    for (std::size_t i = 0; i < a.record.bits.size(); ++i) {
-        a.target->setBurnValue(i, (day % 2 == 0) == a.record.bits[i]);
+    const std::vector<bool> &bits = slot.tenancy->bits;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        slot.design->setBurnValue(i, (day % 2 == 0) == bits[i]);
     }
 }
 
@@ -230,14 +277,14 @@ saveCheckpoint(CampaignState &state, const FleetScanConfig &config)
     writer.f64(rng.cached);
     writer.u8(rng.have_cached ? 1 : 0);
     writer.u64(state.finished.size());
-    for (const Tenancy &tenancy : state.finished) {
-        writeTenancy(writer, tenancy);
+    for (const std::unique_ptr<Tenancy> &tenancy : state.finished) {
+        writeTenancy(writer, *tenancy);
     }
     writer.u64(state.active.size());
     for (const Active &a : state.active) {
         writer.f64(a.ends_at_h);
         writer.u64(static_cast<std::uint64_t>(a.start_day));
-        writeTenancy(writer, a.record);
+        writeTenancy(writer, *a.record);
     }
     writer.endChunk();
     state.checkpoint_bytes = writer.finish().size();
@@ -321,8 +368,8 @@ restoreCampaignFrom(const std::string &path,
     rng.have_cached = reader.u8() != 0;
     const std::uint64_t finished_count = reader.u64();
     for (std::uint64_t i = 0; i < finished_count && reader.ok(); ++i) {
-        Tenancy tenancy;
-        if (readTenancy(reader, &tenancy)) {
+        auto tenancy = std::make_unique<Tenancy>();
+        if (readTenancy(reader, tenancy.get())) {
             state.finished.push_back(std::move(tenancy));
         }
     }
@@ -331,8 +378,9 @@ restoreCampaignFrom(const std::string &path,
         Active a;
         a.ends_at_h = reader.f64();
         a.start_day = static_cast<int>(reader.u64());
-        if (readTenancy(reader, &a.record)) {
-            a.board = a.record.board;
+        a.record = std::make_unique<Tenancy>();
+        if (readTenancy(reader, a.record.get())) {
+            a.board = a.record->board;
             state.active.push_back(std::move(a));
         }
     }
@@ -354,7 +402,10 @@ restoreCampaignFrom(const std::string &path,
         return util::unexpected(
             "checkpoint: design residency does not match the ledger");
     }
-    for (Active &a : state.active) {
+    const std::unordered_map<std::string, std::size_t> index =
+        fleetIndex(*state.platform);
+    state.stress.resize(index.size());
+    for (const Active &a : state.active) {
         bool listed = false;
         for (const std::string &board : boards_with_design) {
             if (board == a.board) {
@@ -367,19 +418,17 @@ restoreCampaignFrom(const std::string &path,
                                     a.board +
                                     "' has no resident design");
         }
-        std::shared_ptr<fabric::TargetDesign> target =
-            makeTenantDesign(a.record, a.start_day,
-                             config.golden_compat);
-        a.target = target;
+        const StressSlot slot{
+            makeTenantDesign(*a.record, a.start_day,
+                             config.golden_compat),
+            a.record.get()};
         if (config.journal_stress) {
-            applyRotation(a, state.next_day - 1);
+            applyRotation(slot, state.next_day - 1);
+            state.stress[index.at(a.board)] = slot;
         }
-        if (!state.platform->loadDesign(a.board, target).empty()) {
+        if (!state.platform->loadDesign(a.board, slot.design).empty()) {
             return util::unexpected(
                 "checkpoint: reconstructed tenant design failed DRC");
-        }
-        if (!config.journal_stress) {
-            a.target = nullptr;
         }
     }
     state.checkpoint_bytes = reader.imageBytes();
@@ -583,111 +632,225 @@ runFleetScan(const FleetScanConfig &config)
         }
     }
     cloud::CloudPlatform &platform = *state.platform;
+    const std::unordered_map<std::string, std::size_t> board_index =
+        fleetIndex(platform);
+    std::vector<cloud::FpgaInstance *> boards;
+    for (const std::string &id : platform.allInstanceIds()) {
+        boards.push_back(&platform.instance(id));
+    }
+    state.stress.resize(boards.size());
 
-    // Unclean teardowns bypass the provider's release pipeline (and
-    // any ZeroOnRelease scrub) and expose the board's BRAM blocks to
-    // an off-power interval. The decision and the interval are pure
-    // draws keyed by (board, start day) — never the shared driver
-    // stream — so the interconnect channel sees release() and
-    // releaseUnclean() identically.
-    const auto releaseTenancy = [&](const Active &a) {
-        if (config.bram_channel && a.record.unclean) {
-            const double off_h =
+    // Book the end of tenancy `a` at `now`: the board returns to the
+    // pool, the record moves to the ledger, and the teardown it owes
+    // comes back for the caller to run. Unclean teardowns bypass the
+    // provider's release pipeline (and any ZeroOnRelease scrub) and
+    // expose the board's BRAM blocks to an off-power interval. The
+    // decision and the interval are pure draws keyed by (board, start
+    // day) — never the shared driver stream — so the interconnect
+    // channel sees clean and unclean releases identically.
+    const auto endTenancy = [&](Active &a, double now) {
+        BoardOp op;
+        op.kind = BoardOp::Kind::TearDown;
+        op.clean = !(config.bram_channel && a.record->unclean);
+        if (!op.clean) {
+            op.off_power_h =
                 util::Rng(config.seed)
                     .split("bram_off_h")
                     .split(a.board)
                     .split(static_cast<std::uint64_t>(a.start_day))
                     .uniform(0.0, kMaxOffPowerH);
-            platform.releaseUnclean(a.board, off_h);
-        } else {
-            platform.release(a.board);
+        }
+        platform.bookRelease(a.board, op.clean, now);
+        a.record->released_at_h = now;
+        state.finished.push_back(std::move(a.record));
+        return op;
+    };
+
+    // One board's device step, in booking order.
+    const auto runOp = [&](cloud::FpgaInstance &inst, StressSlot &slot,
+                           const BoardOp &op) {
+        switch (op.kind) {
+          case BoardOp::Kind::TearDown:
+            platform.tearDown(inst, op.clean, op.off_power_h);
+            slot = StressSlot{};
+            break;
+          case BoardOp::Kind::HandOver:
+            platform.handOver(inst);
+            break;
+          case BoardOp::Kind::Load: {
+            const Tenancy &tenancy = *op.tenancy;
+            std::shared_ptr<fabric::TargetDesign> target =
+                makeTenantDesign(tenancy, op.day, config.golden_compat);
+            if (!platform.configure(inst, target).empty()) {
+                util::fatal("fleet scan: tenant design failed DRC on " +
+                            inst.id());
+            }
+            // Write AFTER the load: configuring the tenant's bitstream
+            // zeroed whatever the blocks held.
+            for (std::size_t r = 0; r < tenancy.bram_words.size(); ++r) {
+                inst.device().writeBram(bramBlockId(r),
+                                        tenancy.bram_words[r]);
+            }
+            if (config.journal_stress) {
+                slot = StressSlot{std::move(target), &tenancy};
+            }
+            break;
+          }
         }
     };
 
     // Interleaved tenancies in daily ticks: aim for about a third of
     // the region rented at any time, each tenancy burning a random
     // word on its own freshly allocated routes for 2-14 days.
-    for (int day = state.next_day; day < config.days; ++day) {
-        if (config.throttle_ms_per_day > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                config.throttle_ms_per_day));
+    //
+    // The days run in windows, each ending where the loop must stop
+    // anyway: the run's end, the next checkpoint, the halt day, or —
+    // with an observer — the next day. A window has two phases.
+    //  A. Serially, everything that draws from the driver rng or
+    //     touches fleet bookkeeping: releases and the ledger, the rent
+    //     choice, routes, bits, BRAM words and fates, durations, the
+    //     platform clock. Each board's device steps are recorded.
+    //  B. One task per board with work: its device steps day by day,
+    //     then that day's journal-stress rotation and 24 h advance.
+    //     A tenancy ages only its own board, so the boards are
+    //     independent, and each device sees exactly the call sequence
+    //     of a day-at-a-time loop; the lane count moves no draw.
+    std::vector<std::vector<BoardOp>> plan(boards.size());
+    std::vector<bool> busy(boards.size());
+    std::vector<std::size_t> tasks;
+    while (state.next_day < config.days) {
+        const int from = state.next_day;
+        int to = config.days;
+        if (config.observer != nullptr) {
+            to = from + 1;
         }
-        const double now = platform.nowHours();
-        for (std::size_t i = state.active.size(); i-- > 0;) {
-            if (state.active[i].ends_at_h <= now) {
-                state.active[i].record.released_at_h = now;
-                releaseTenancy(state.active[i]);
-                state.finished.push_back(
-                    std::move(state.active[i].record));
-                state.active.erase(state.active.begin() +
-                                   static_cast<std::ptrdiff_t>(i));
-            }
+        if (checkpointing && config.checkpoint_every_days > 0) {
+            to = std::min(to, (from / config.checkpoint_every_days + 1) *
+                                  config.checkpoint_every_days);
         }
-        while (state.active.size() < config.fleet / 3 &&
-               state.rng.bernoulli(0.35)) {
-            const auto board = platform.rent();
-            if (!board) {
-                break;
+        if (config.halt_at_day > 0) {
+            to = std::min(to, std::max(config.halt_at_day, from + 1));
+        }
+
+        // ---- phase A: bookkeeping --------------------------------
+        for (std::vector<BoardOp> &ops : plan) {
+            ops.clear();
+        }
+        std::fill(busy.begin(), busy.end(), false);
+        for (const Active &a : state.active) {
+            busy[board_index.at(a.board)] = true;
+        }
+        for (int day = from; day < to; ++day) {
+            if (config.throttle_ms_per_day > 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    config.throttle_ms_per_day));
             }
-            fabric::Device &device =
-                platform.instance(*board).device();
-            Tenancy tenancy;
-            tenancy.board = *board;
-            for (std::size_t r = 0; r < config.routes_per_tenant;
-                 ++r) {
-                tenancy.specs.push_back(device.allocateRoute(
-                    *board + "_d" + std::to_string(day) + "_r" +
-                        std::to_string(r),
-                    kRouteTargetPs));
-                tenancy.bits.push_back(state.rng.bernoulli(0.5));
+            const double now = platform.nowHours();
+            for (std::size_t i = state.active.size(); i-- > 0;) {
+                if (state.active[i].ends_at_h <= now) {
+                    BoardOp op = endTenancy(state.active[i], now);
+                    op.day = day;
+                    plan[board_index.at(state.active[i].board)].push_back(
+                        op);
+                    state.active.erase(state.active.begin() +
+                                       static_cast<std::ptrdiff_t>(i));
+                }
             }
-            auto target = makeTenantDesign(tenancy, day,
-                                           config.golden_compat);
-            core::loadChecked(platform, *board, target,
-                              "fleet scan: tenant design");
-            if (config.bram_channel) {
-                // Write AFTER the load: configuring the tenant's
-                // bitstream zeroed whatever the blocks held. Words
-                // and the teardown fate come from fresh pure streams
-                // keyed by (board, day) so the shared driver rng —
-                // and with it the golden draw sequence — never moves.
-                util::Rng words = util::Rng(config.seed)
-                                      .split("bram_words")
-                                      .split(*board)
-                                      .split(static_cast<std::uint64_t>(
-                                          day));
+            while (state.active.size() < config.fleet / 3 &&
+                   state.rng.bernoulli(0.35)) {
+                const auto board = platform.bookRent();
+                if (!board) {
+                    break;
+                }
+                cloud::FpgaInstance &inst = platform.bookLoad(*board);
+                auto tenancy = std::make_unique<Tenancy>();
+                tenancy->board = *board;
                 for (std::size_t r = 0; r < config.routes_per_tenant;
                      ++r) {
-                    const std::uint64_t word = words();
-                    device.writeBram(bramBlockId(r), word);
-                    tenancy.bram_words.push_back(word);
+                    tenancy->specs.push_back(inst.allocateRoute(
+                        *board + "_d" + std::to_string(day) + "_r" +
+                            std::to_string(r),
+                        kRouteTargetPs));
+                    tenancy->bits.push_back(state.rng.bernoulli(0.5));
                 }
-                tenancy.unclean =
-                    util::Rng(config.seed)
-                        .split("bram_unclean")
-                        .split(*board)
-                        .split(static_cast<std::uint64_t>(day))
-                        .bernoulli(kUncleanTeardownP);
+                if (config.bram_channel) {
+                    // Words and the teardown fate come from fresh pure
+                    // streams keyed by (board, day) so the shared
+                    // driver rng — and with it the golden draw
+                    // sequence — never moves.
+                    util::Rng words =
+                        util::Rng(config.seed)
+                            .split("bram_words")
+                            .split(*board)
+                            .split(static_cast<std::uint64_t>(day));
+                    for (std::size_t r = 0; r < config.routes_per_tenant;
+                         ++r) {
+                        tenancy->bram_words.push_back(words());
+                    }
+                    tenancy->unclean =
+                        util::Rng(config.seed)
+                            .split("bram_unclean")
+                            .split(*board)
+                            .split(static_cast<std::uint64_t>(day))
+                            .bernoulli(kUncleanTeardownP);
+                }
+                std::vector<BoardOp> &ops = plan[board_index.at(*board)];
+                ops.push_back(BoardOp{BoardOp::Kind::HandOver, day});
+                ops.push_back(BoardOp{BoardOp::Kind::Load, day, true, 0.0,
+                                      tenancy.get()});
+                const double duration_h =
+                    24.0 *
+                    static_cast<double>(state.rng.uniformInt(2, 14));
+                state.active.push_back(Active{*board, now + duration_h, day,
+                                              std::move(tenancy)});
             }
-            const double duration_h =
-                24.0 *
-                static_cast<double>(state.rng.uniformInt(2, 14));
-            state.active.push_back(
-                Active{*board, now + duration_h, day,
-                       std::move(tenancy),
-                       config.journal_stress ? target : nullptr});
+            platform.advanceClock(24.0);
         }
-        if (config.journal_stress) {
-            // Daily inversion-mitigation-style rotation on every
-            // active tenancy: in-place mutations the devices fold in
-            // as journal flips at the next advance.
-            for (const Active &a : state.active) {
-                applyRotation(a, day);
-            }
-        }
-        platform.advanceHours(24.0);
 
-        const int completed = day + 1;
+        // ---- phase B: each board's device work -------------------
+        tasks.clear();
+        for (std::size_t b = 0; b < boards.size(); ++b) {
+            if (busy[b] || !plan[b].empty()) {
+                tasks.push_back(b);
+            } else {
+                // Idle stock: each advance is an O(1) deferral. Kept
+                // off the task list, which stays short enough that
+                // the pool hands out one board per claim, so the
+                // longest-first order balances the lanes.
+                for (int day = from; day < to; ++day) {
+                    boards[b]->advanceHours(24.0);
+                }
+            }
+        }
+        // Longest first, so no lane is left with a long tail.
+        std::sort(tasks.begin(), tasks.end(),
+                  [&](std::size_t x, std::size_t y) {
+                      return plan[x].size() != plan[y].size()
+                                 ? plan[x].size() > plan[y].size()
+                                 : x < y;
+                  });
+        const auto runBoard = [&](std::size_t t) {
+            const std::size_t b = tasks[t];
+            cloud::FpgaInstance &inst = *boards[b];
+            StressSlot &slot = state.stress[b];
+            const std::vector<BoardOp> &ops = plan[b];
+            std::size_t next = 0;
+            for (int day = from; day < to; ++day) {
+                for (; next < ops.size() && ops[next].day == day; ++next) {
+                    runOp(inst, slot, ops[next]);
+                }
+                if (slot.design) {
+                    // Daily inversion-mitigation-style rotation: an
+                    // in-place mutation the device folds in as journal
+                    // flips at the advance.
+                    applyRotation(slot, day);
+                }
+                inst.advanceHours(24.0);
+            }
+        };
+        util::parallelFor(tasks.size(), runBoard, config.pool);
+
+        const int completed = to;
         state.next_day = completed;
         const bool halting =
             config.halt_at_day > 0 && completed >= config.halt_at_day &&
@@ -722,9 +885,10 @@ runFleetScan(const FleetScanConfig &config)
     }
     // Wind down: everyone still computing releases now.
     for (Active &a : state.active) {
-        a.record.released_at_h = platform.nowHours();
-        releaseTenancy(a);
-        state.finished.push_back(std::move(a.record));
+        const std::size_t b = board_index.at(a.board);
+        const BoardOp op = endTenancy(a, platform.nowHours());
+        platform.tearDown(*boards[b], op.clean, op.off_power_h);
+        state.stress[b] = StressSlot{};
     }
     state.active.clear();
 
@@ -750,11 +914,11 @@ runFleetScan(const FleetScanConfig &config)
             break;
         }
         const Tenancy *last = nullptr;
-        for (const Tenancy &t : state.finished) {
-            if (t.board == *board &&
+        for (const std::unique_ptr<Tenancy> &t : state.finished) {
+            if (t->board == *board &&
                 (last == nullptr ||
-                 t.released_at_h > last->released_at_h)) {
-                last = &t;
+                 t->released_at_h > last->released_at_h)) {
+                last = t.get();
             }
         }
         if (last == nullptr) {
@@ -838,33 +1002,44 @@ runFleetScan(const FleetScanConfig &config)
     // journaled tenancies (with daily mitigation flips) must replay
     // without losing or inventing a single element.
     if (config.journal_stress) {
-        for (const std::string &id : platform.allInstanceIds()) {
-            fabric::Device &device = platform.instance(id).device();
-            const std::size_t deferred = device.journaledKeyCount();
-            if (deferred == 0) {
-                continue;
+        // One task per board; the verdicts are read in board order, so
+        // the first failing board named does not depend on lanes.
+        std::vector<std::size_t> deferred(boards.size());
+        std::vector<char> converged(boards.size());
+        const auto checkBoard = [&](std::size_t b) {
+            fabric::Device &device = boards[b]->device();
+            deferred[b] = device.journaledKeyCount();
+            if (deferred[b] == 0) {
+                return;
             }
             const std::vector<fabric::ResourceId> imprinted =
                 device.imprintedIds();
+            std::vector<fabric::ElementHandle> handles;
+            handles.reserve(imprinted.size());
             for (const fabric::ResourceId &rid : imprinted) {
-                (void)device.element(rid); // materialise + replay
+                handles.push_back(device.bindElement(rid));
             }
+            device.syncHandles(handles.data(), handles.size());
             const std::vector<fabric::ResourceId> materialized =
                 device.materializedIds();
-            bool converged =
-                device.journaledKeyCount() == 0 &&
-                materialized.size() == imprinted.size();
-            for (std::size_t i = 0; converged && i < imprinted.size();
-                 ++i) {
-                converged =
-                    materialized[i].key() == imprinted[i].key();
+            bool ok = device.journaledKeyCount() == 0 &&
+                      materialized.size() == imprinted.size();
+            for (std::size_t i = 0; ok && i < imprinted.size(); ++i) {
+                ok = materialized[i].key() == imprinted[i].key();
             }
-            if (!converged) {
+            converged[b] = ok ? 1 : 0;
+        };
+        util::parallelFor(boards.size(), checkBoard, config.pool);
+        for (std::size_t b = 0; b < boards.size(); ++b) {
+            if (deferred[b] == 0) {
+                continue;
+            }
+            if (converged[b] == 0) {
                 util::fatal("fleet scan: journal coverage check "
-                            "failed on " + id);
+                            "failed on " + boards[b]->id());
             }
             ++result.stress_boards;
-            result.stress_elements += deferred;
+            result.stress_elements += deferred[b];
         }
     }
     return result;

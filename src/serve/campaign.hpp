@@ -108,11 +108,15 @@ struct FleetScanConfig
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 0;
     /**
-     * Scan-phase work pool (nullptr = serial). Each attacked board is
-     * one task — its idle slots, its own attack, the idle slots after
-     * — so the scan fans out across boards, not across a board's
-     * sensors; with nullptr or a 0-worker pool the tasks run in slot
-     * order. The result is identical for every width.
+     * Work pool (nullptr = serial) for three per-board fan-outs. In
+     * the day loop each window's device work is one task per busy
+     * board: its rents, loads, releases, rotations and daily advances
+     * (the bookkeeping that schedules them stays serial). In the scan
+     * each attacked board is one task — its idle slots, its own
+     * attack, the idle slots after — so the scan fans out across
+     * boards, not across a board's sensors. The journal coverage
+     * check is one task per board. With nullptr or a 0-worker pool
+     * the tasks run in order. The result is identical for every width.
      */
     util::ThreadPool *pool = nullptr;
     /**

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "phys/thermal.hpp"
 #include "tdc/tdc.hpp"
 #include "util/rng.hpp"
+#include "util/snapshot.hpp"
 #include "util/stats.hpp"
 
 namespace pc = pentimento::core;
@@ -160,6 +165,143 @@ TEST_P(PlatformFuzz, RentalInvariantsSurviveRandomOperations)
                 EXPECT_NE(held[i], held[j]);
             }
         }
+    }
+}
+
+TEST_P(PlatformFuzz, SplitStepsLeaveTheSameState)
+{
+    // A second platform on the same seed runs each random batch as
+    // bookkeeping steps only, then each board's deferred device steps
+    // in booking order, boards in shuffled order. After every batch its
+    // image must be byte-identical to the platform driven through the
+    // public calls.
+    for (const pcl::BramScrubPolicy scrub :
+         {pcl::BramScrubPolicy::None, pcl::BramScrubPolicy::ZeroOnRelease,
+          pcl::BramScrubPolicy::ZeroOnRent}) {
+        SCOPED_TRACE("scrub policy " +
+                     std::to_string(static_cast<int>(scrub)));
+        pcl::PlatformConfig config = pc::awsF1Region(GetParam());
+        config.fleet_size = 4;
+        config.device_template.tiles_x = 32;
+        config.device_template.tiles_y = 32;
+        config.policy = static_cast<pcl::AllocationPolicy>(GetParam() % 3);
+        config.active_scrub = GetParam() % 2 == 1;
+        config.bram_scrub = scrub;
+        pcl::CloudPlatform direct(config);
+        pcl::CloudPlatform split(config);
+        const std::vector<std::string> ids = direct.allInstanceIds();
+        const auto boardOf = [&](const std::string &id) {
+            return static_cast<std::size_t>(
+                std::find(ids.begin(), ids.end(), id) - ids.begin());
+        };
+        std::vector<std::vector<std::function<void()>>> deferred(
+            ids.size());
+        pu::Rng rng(GetParam());
+        std::vector<std::string> held;
+
+        for (int batch = 0; batch < 30; ++batch) {
+            const std::int64_t steps = rng.uniformInt(1, 8);
+            for (std::int64_t step = 0; step < steps; ++step) {
+                const std::int64_t action = rng.uniformInt(0, 5);
+                if (action == 0) {
+                    const std::optional<std::string> id = direct.rent();
+                    ASSERT_EQ(split.bookRent(), id);
+                    if (id) {
+                        pcl::FpgaInstance &inst = split.instance(*id);
+                        deferred[boardOf(*id)].push_back(
+                            [&split, &inst] { split.handOver(inst); });
+                        held.push_back(*id);
+                    }
+                    continue;
+                }
+                if (action == 5) {
+                    const double hours = rng.uniform(0.1, 30.0);
+                    direct.advanceHours(hours);
+                    split.advanceClock(hours);
+                    for (std::size_t b = 0; b < ids.size(); ++b) {
+                        pcl::FpgaInstance &inst = split.instance(ids[b]);
+                        deferred[b].push_back(
+                            [&inst, hours] { inst.advanceHours(hours); });
+                    }
+                    continue;
+                }
+                if (held.empty()) {
+                    continue;
+                }
+                const std::size_t pick = rng.uniformIndex(held.size());
+                const std::string id = held[pick];
+                pcl::FpgaInstance &inst = split.instance(id);
+                std::vector<std::function<void()>> &ops =
+                    deferred[boardOf(id)];
+                if (action == 1 || action == 2) {
+                    // Clean or unclean release.
+                    const bool clean = action == 1;
+                    const double off_h = clean ? 0.0 : rng.uniform(0.0, 0.2);
+                    if (clean) {
+                        direct.release(id);
+                    } else {
+                        direct.releaseUnclean(id, off_h);
+                    }
+                    split.bookRelease(id, clean, split.nowHours());
+                    ops.push_back([&split, &inst, clean, off_h] {
+                        split.tearDown(inst, clean, off_h);
+                    });
+                    held.erase(held.begin() +
+                               static_cast<std::ptrdiff_t>(pick));
+                } else if (action == 3) {
+                    // A tenant design burning freshly allocated routes.
+                    auto design = std::make_shared<pf::Design>(
+                        "fuzz" + std::to_string(batch) + "_" +
+                        std::to_string(step));
+                    for (int r = 0; r < 2; ++r) {
+                        const std::string name =
+                            design->name() + "_r" + std::to_string(r);
+                        const pf::RouteSpec spec =
+                            direct.instance(id).allocateRoute(name, 200.0);
+                        EXPECT_EQ(inst.allocateRoute(name, 200.0).elements,
+                                  spec.elements);
+                        design->setRouteValue(spec, rng.bernoulli(0.5));
+                    }
+                    design->setPowerW(rng.uniform(1.0, 80.0));
+                    EXPECT_TRUE(direct.loadDesign(id, design).empty());
+                    split.bookLoad(id);
+                    ops.push_back([&split, &inst, design] {
+                        EXPECT_TRUE(split.configure(inst, design).empty());
+                    });
+                } else {
+                    // A tenant BRAM write.
+                    pf::ResourceId block;
+                    block.type = pf::ResourceType::Bram;
+                    block.index =
+                        static_cast<std::uint16_t>(rng.uniformInt(0, 3));
+                    const std::uint64_t word = rng();
+                    direct.instance(id).device().writeBram(block, word);
+                    ops.push_back([&inst, block, word] {
+                        inst.device().writeBram(block, word);
+                    });
+                }
+            }
+
+            std::vector<std::size_t> order(ids.size());
+            for (std::size_t b = 0; b < order.size(); ++b) {
+                order[b] = b;
+            }
+            for (std::size_t b = order.size(); b > 1; --b) {
+                std::swap(order[b - 1], order[rng.uniformIndex(b)]);
+            }
+            for (const std::size_t b : order) {
+                for (const std::function<void()> &op : deferred[b]) {
+                    op();
+                }
+                deferred[b].clear();
+            }
+            pu::SnapshotWriter want;
+            pu::SnapshotWriter got;
+            direct.saveState(want);
+            split.saveState(got);
+            ASSERT_EQ(got.finish(), want.finish()) << "batch " << batch;
+        }
+        EXPECT_EQ(split.bramScrubOps(), direct.bramScrubOps());
     }
 }
 

@@ -1111,6 +1111,108 @@ TEST(FleetScanLanes, ShardsAtFullWidthConcatenateToTheUnshardedRun)
     }
 }
 
+/** Observer that never cancels: it only makes every window one day. */
+class AlwaysContinue : public core::SweepObserver
+{
+  public:
+    bool
+    onSweep(std::size_t, double, const double *, std::size_t) override
+    {
+        return true;
+    }
+};
+
+TEST(FleetScanLanes, DayWindowsAreInvisible)
+{
+    // The day loop runs in windows cut at the run's end, checkpoints,
+    // the halt day and (with an observer) every day, with each
+    // window's device work fanned out per board. None of that may
+    // show in the result: not the window length, not the lane count,
+    // not a halt-and-resume in the middle.
+    util::setVerbosity(util::Verbosity::Silent);
+    char tmpl[] = "/tmp/serve_windows_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    const std::string path = dir + "/scan.ckpt";
+    const auto clearCheckpoints = [&] {
+        for (const char *suffix : {"", ".prev", ".tmp"}) {
+            ::unlink((path + suffix).c_str());
+        }
+    };
+    enum class Durability
+    {
+        None,
+        Every7,
+        HaltThenResume
+    };
+    AlwaysContinue always;
+    util::ThreadPool pool0(0);
+    util::ThreadPool pool1(1);
+    util::ThreadPool pool3(3);
+    util::ThreadPool *const pools[] = {&pool0, &pool1, &pool3};
+    // Six window layouts: {no observer, observer} x durability. Each
+    // campaign variant k runs all six, two per pool width, rotated by
+    // k so that across the six variants every width meets every
+    // layout too.
+    int variant = 0;
+    for (const bool stressed : {false, true}) {
+        for (const cloud::BramScrubPolicy scrub :
+             {cloud::BramScrubPolicy::None,
+              cloud::BramScrubPolicy::ZeroOnRelease,
+              cloud::BramScrubPolicy::ZeroOnRent}) {
+            serve::FleetScanConfig base = laneScanConfig(stressed, 2);
+            base.fleet = 12;
+            base.days = 160;
+            base.bram_scrub = scrub;
+            const serve::FleetScanResult straight = runScan(base);
+            if (stressed) {
+                // Rotations and the coverage check did run.
+                EXPECT_GT(straight.stress_boards, 0u);
+            }
+            const std::vector<std::uint8_t> reference =
+                scanFingerprint(straight);
+            for (int slot = 0; slot < 6; ++slot) {
+                const int layout = (slot + variant) % 6;
+                util::ThreadPool *pool = pools[slot / 2];
+                const bool observed = layout % 2 == 1;
+                const auto durability = static_cast<Durability>(layout / 2);
+                SCOPED_TRACE(std::string(stressed ? "stressed" : "plain") +
+                             " scrub=" +
+                             std::to_string(static_cast<int>(scrub)) +
+                             " lanes=" + std::to_string(pool->concurrency()) +
+                             (observed ? " observer" : "") +
+                             " durability=" +
+                             std::to_string(static_cast<int>(durability)));
+                serve::FleetScanConfig config = base;
+                config.pool = pool;
+                config.observer = observed ? &always : nullptr;
+                if (durability != Durability::None) {
+                    clearCheckpoints();
+                    config.checkpoint_path = path;
+                    config.resume = serve::ResumeMode::Never;
+                }
+                if (durability == Durability::Every7) {
+                    config.checkpoint_every_days = 7;
+                }
+                if (durability == Durability::HaltThenResume) {
+                    config.halt_at_day = 150;
+                    EXPECT_EQ(runScan(config).halted_after_day, 150);
+                    config.halt_at_day = 0;
+                    config.resume = serve::ResumeMode::Require;
+                }
+                const serve::FleetScanResult result = runScan(config);
+                if (durability == Durability::HaltThenResume) {
+                    EXPECT_EQ(result.resumed_day, 150);
+                }
+                EXPECT_EQ(scanFingerprint(result), reference);
+            }
+            ++variant;
+        }
+    }
+    clearCheckpoints();
+    ::rmdir(dir.c_str());
+}
+
 // ----------------------------------------- checkpoint/resume engine
 
 class FleetScanResumeTest : public ::testing::Test
