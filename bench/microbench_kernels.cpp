@@ -195,7 +195,7 @@ BM_FleetIdleDay(benchmark::State &state)
 BENCHMARK(BM_FleetIdleDay);
 
 void
-runTenancyTurnover(benchmark::State &state, bool eager)
+BM_TenancyTurnover(benchmark::State &state)
 {
     // The fleet-campaign tenancy-churn kernel: a board cycles through
     // tenancies that load a design, burn, wipe and idle — and nobody
@@ -203,13 +203,10 @@ runTenancyTurnover(benchmark::State &state, bool eager)
     // loop (design construction is the tenant's bitstream, not the
     // board's turnover cost); the kernel times the DEVICE side. With
     // the activity journal every load/wipe is one O(1) run append per
-    // key; the eager variant pays variation sampling, a slab insert
-    // and flip replays for every configured element of every tenancy.
-    // Tenancy shape matches bench/fleet_campaign.cpp: 8 routes of
+    // key. Tenancy shape matches bench/fleet_campaign.cpp: 8 routes of
     // 2000 ps (80 elements each) plus a 128-DSP filler = 768
     // configured keys per tenant.
     fabric::DeviceConfig config;
-    config.eager_materialisation = eager;
     constexpr int kTenancies = 16;
     constexpr int kRoutes = 8;
     fabric::Device planner(config); // allocates the shared route plan
@@ -243,23 +240,7 @@ runTenancyTurnover(benchmark::State &state, bool eager)
     }
     state.SetLabel("16 tenancies x (8 routes + filler), unobserved");
 }
-
-void
-BM_TenancyTurnover(benchmark::State &state)
-{
-    runTenancyTurnover(state, false);
-}
 BENCHMARK(BM_TenancyTurnover);
-
-void
-BM_TenancyTurnoverEager(benchmark::State &state)
-{
-    // The pre-journal behaviour, kept in-tree so the >= 3x claim is
-    // reproducible on any machine from a single run (compare with
-    // BM_TenancyTurnover) rather than only across hosts.
-    runTenancyTurnover(state, true);
-}
-BENCHMARK(BM_TenancyTurnoverEager);
 
 void
 BM_AmbientEventTrace(benchmark::State &state)
@@ -347,8 +328,7 @@ BM_MeasureSweepExact(benchmark::State &state)
 {
     // The bit-exact default path (polar-method jitter per sample,
     // Welford trace means), kept measurable in the same run so the
-    // fast path's speedup is reproducible anywhere (the
-    // BM_TenancyTurnoverEager precedent).
+    // fast path's speedup is reproducible anywhere.
     runMeasureSweepParallel(state, false);
 }
 BENCHMARK(BM_MeasureSweepExact)->Args({256, 0})->Args({256, 3});

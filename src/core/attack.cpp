@@ -59,9 +59,6 @@ extractDesignData(cloud::CloudPlatform &platform,
     }
     Tm1Report report;
     report.instance_id = *rented;
-    fabric::Device &device = platform.instance(*rented).device();
-    device.setWorkPool(options.pool);
-
     const auto measure = calibrateOnPlatform(
         platform, *rented, record.skeleton, options.tdc, options.pool);
     SweepRecorder recorder(record.skeleton.size());
@@ -79,7 +76,6 @@ extractDesignData(cloud::CloudPlatform &platform,
         },
         sweep);
     platform.release(*rented);
-    device.setWorkPool(nullptr);
 
     // Ground truth for scoring (never consulted by the attack path).
     const auto *target =
@@ -155,8 +151,6 @@ recoverUserData(cloud::CloudPlatform &platform,
     report.reacquired_same_board = best_id == report.victim_instance;
 
     // ---- Recovery measurement on the re-acquired board.
-    fabric::Device &device = platform.instance(best_id).device();
-    device.setWorkPool(options.pool);
     const auto measure = calibrateOnPlatform(
         platform, best_id, bundle.skeleton, options.tdc, options.pool);
     const auto park = makeParkDesign("attacker_park", bundle.skeleton,
@@ -177,7 +171,6 @@ recoverUserData(cloud::CloudPlatform &platform,
         },
         [&](double t) { sweep(options.victim_hours + t); });
     platform.release(best_id);
-    device.setWorkPool(nullptr);
 
     report.result = recorder.result(bundle.skeleton, secret,
                                     options.victim_hours + observed);

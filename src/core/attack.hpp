@@ -58,7 +58,7 @@ struct Tm1Options
     double measure_every_h = 1.0;
     tdc::TdcConfig tdc{};
     std::uint64_t seed = 99;
-    /** Work pool for sweeps/aging (see Experiment1Config::pool). */
+    /** Work pool for sweeps (see Experiment1Config::pool). */
     util::ThreadPool *pool = nullptr;
 };
 
@@ -94,7 +94,7 @@ struct Tm2Options
     double route_ps = 5000.0;
     tdc::TdcConfig tdc{};
     std::uint64_t seed = 99;
-    /** Work pool for sweeps/aging (see Experiment1Config::pool). */
+    /** Work pool for sweeps (see Experiment1Config::pool). */
     util::ThreadPool *pool = nullptr;
 };
 

@@ -265,7 +265,6 @@ runExperiment1(const Experiment1Config &config)
 {
     util::Rng rng(config.seed);
     fabric::Device device(config.device);
-    device.setWorkPool(config.pool);
     phys::OvenEnvironment oven(
         util::celsiusToKelvin(config.oven_temp_c));
 
@@ -334,7 +333,6 @@ runExperiment2(const Experiment2Config &config)
         util::fatal("runExperiment2: region exhausted");
     }
     fabric::Device &device = platform.instance(*rented).device();
-    device.setWorkPool(config.pool);
 
     RouteSetup setup = allocateRoutes(device, config.groups, rng);
     auto target = std::make_shared<fabric::TargetDesign>(
@@ -367,8 +365,6 @@ runExperiment2(const Experiment2Config &config)
         },
         sweep);
     platform.release(*rented);
-    // The platform (and its devices) may outlive the caller's pool.
-    device.setWorkPool(nullptr);
 
     return recorder.result(setup.specs, setup.burn_values, hour);
 }
@@ -385,7 +381,6 @@ runExperiment3(const Experiment3Config &config)
         util::fatal("runExperiment3: region exhausted");
     }
     fabric::Device &device = platform.instance(*victim_id).device();
-    device.setWorkPool(config.pool);
 
     RouteSetup setup = allocateRoutes(device, config.groups, rng);
     auto target = std::make_shared<fabric::TargetDesign>(
@@ -433,7 +428,6 @@ runExperiment3(const Experiment3Config &config)
                    "victim board; recovery will fail (expected with "
                    "quarantine/mitigation configurations)");
     }
-    att_device.setWorkPool(config.pool);
 
     // The attacker knows the skeleton (Assumption 1) and builds the
     // Measure design over it; θ_init is consistent across devices of
@@ -462,9 +456,6 @@ runExperiment3(const Experiment3Config &config)
         },
         [&](double t) { sweep(hour + t); });
     platform.release(*attacker_id);
-    // The platform (and its devices) may outlive the caller's pool.
-    device.setWorkPool(nullptr);
-    att_device.setWorkPool(nullptr);
 
     return recorder.result(setup.specs, setup.burn_values,
                            hour + observed);
@@ -481,7 +472,7 @@ runTenancyChurn(const TenancyChurnConfig &config)
         util::fatal("runTenancyChurn: bad burn-hour range");
     }
     util::Rng rng(config.seed);
-    fabric::Device device(config.device);
+    fabric::Device device{fabric::DeviceConfig{}};
     fabric::ArithmeticHeavyConfig arith;
     arith.dsp_count = config.dsp_count;
 

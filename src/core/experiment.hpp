@@ -221,7 +221,7 @@ struct Experiment1Config
     /** Optional user mitigation applied during the burn (ablations). */
     mitigation::MitigationStrategy *strategy = nullptr;
     /**
-     * Optional work pool: element aging and measurement sweeps fan
+     * Optional work pool: calibration and measurement sweeps fan
      * out across its workers. Same seed produces bit-identical
      * results for any worker count (nullptr = serial).
      */
@@ -293,9 +293,10 @@ ExperimentResult runExperiment3(const Experiment3Config &config);
  * board idle — and nobody measures anything until the very end, when
  * the last `observe_last` tenancies' routes are bound and read. The
  * run is a pure function of the config (every draw comes from `seed`),
- * so its outputs serve as regression goldens, as the eager-vs-lazy
- * equivalence fixture (set device.eager_materialisation and compare
- * bitwise), and as the BM_TenancyTurnover microbench body.
+ * so its outputs serve as regression goldens and as the eager-vs-lazy
+ * equivalence fixture (the tests run it again with eager
+ * materialisation and compare bitwise). The board is a default
+ * fabric::DeviceConfig.
  */
 struct TenancyChurnConfig
 {
@@ -320,7 +321,6 @@ struct TenancyChurnConfig
      *  (0 = never observe anything: the pure-churn benchmark form). */
     std::size_t observe_last = 2;
     std::uint64_t seed = 7321;
-    fabric::DeviceConfig device{};
     /** Optional per-tenancy cancellation hook (n_routes == 0). */
     SweepObserver *observer = nullptr;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fabric/eager_scope.hpp"
 #include "util/logging.hpp"
 #include "util/snapshot.hpp"
 
@@ -14,7 +15,9 @@ constexpr ElementActivity kUnusedActivity{};
 
 } // namespace
 
-Device::Device(DeviceConfig config) : config_(std::move(config))
+Device::Device(DeviceConfig config)
+    : config_(std::move(config)),
+      eager_(testing::EagerMaterialisationScope::active())
 {
     if (config_.tiles_x == 0 || config_.tiles_y == 0 ||
         config_.nodes_per_tile == 0) {
@@ -518,7 +521,7 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
 {
     // Resolution splits the configured keys into cohorts: elements
     // already in the slab resolve to handles, the rest stay packed
-    // keys for the journal. Under eager_materialisation every key is
+    // keys for the journal. On the eager reference path every key is
     // bound here instead (the pre-journal behaviour), so the deferred
     // cohort is empty and nothing downstream ever journals.
     *records_applied = false;
@@ -581,7 +584,7 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
     entry->activities.reserve(map.size());
     entry->deferred_order.reserve(map.size());
     for (const auto &[key, activity] : map) {
-        if (config_.eager_materialisation) {
+        if (eager_) {
             entry->activities.push_back(activity);
             entry->handles.push_back(
                 bindElement(ResourceId::fromKey(key)));
@@ -877,8 +880,8 @@ Device::applyServiceWear(double hours, double duty_one)
 namespace {
 
 /** Config fingerprint after the family string: seed, service age, the
- *  three geometry u32s, the eager flag, two retention knobs. */
-constexpr std::size_t kFingerprintBytes = 8 + 8 + 3 * 4 + 1 + 2 * 8;
+ *  three geometry u32s, two retention knobs. */
+constexpr std::size_t kFingerprintBytes = 8 + 8 + 3 * 4 + 2 * 8;
 /** Elapsed-hours sum pair, epoch, three cursors, compaction watermark,
  *  design-loaded flag. */
 constexpr std::size_t kClockBytes = 2 * 8 + 5 * 8 + 1;
@@ -909,7 +912,6 @@ Device::saveState(util::SnapshotWriter &writer) const
     head.u32(config_.tiles_x);
     head.u32(config_.tiles_y);
     head.u32(config_.nodes_per_tile);
-    head.u8(config_.eager_materialisation ? 1 : 0);
     // Retention identity: the per-block limits are pure draws from
     // (seed, median, sigma), so a knob skew would graft one board's
     // decay behaviour onto another's contents.
@@ -1012,7 +1014,6 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     const std::uint32_t tiles_x = reader.u32();
     const std::uint32_t tiles_y = reader.u32();
     const std::uint32_t nodes_per_tile = reader.u32();
-    const bool eager = reader.u8() != 0;
     const double retention_median = reader.f64();
     const double retention_sigma = reader.f64();
     if (!reader.ok()) {
@@ -1022,7 +1023,6 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
         service_age_h != config_.service_age_h ||
         tiles_x != config_.tiles_x || tiles_y != config_.tiles_y ||
         nodes_per_tile != config_.nodes_per_tile ||
-        eager != config_.eager_materialisation ||
         retention_median != config_.bram_retention_median_h ||
         retention_sigma != config_.bram_retention_sigma) {
         reader.fail("snapshot: device config fingerprint mismatch "

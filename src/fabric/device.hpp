@@ -50,8 +50,9 @@
  * thereby O(configured keys) of hash appends instead of
  * O(configured keys) of element construction + replay — and a board
  * is only charged for silicon someone actually looks at.
- * DeviceConfig::eager_materialisation restores the eager path (the
- * equivalence tests run both and compare bitwise).
+ * The eager path survives only as the reference the equivalence tests
+ * compare against bitwise; nothing outside the tests can select it
+ * (the test seam is read once, in the constructor — see device.cpp).
  */
 
 #ifndef PENTIMENTO_FABRIC_DEVICE_HPP
@@ -133,15 +134,6 @@ struct DeviceConfig
     double bram_retention_median_h = 0.05;
     /** Lognormal sigma of the per-block retention draw. */
     double bram_retention_sigma = 1.0;
-    /**
-     * Materialise every configured element at design load (the
-     * pre-journal behaviour) instead of deferring to first
-     * observation. Aged delays are bit-identical either way — the
-     * equivalence test battery runs both and compares — so this
-     * exists for those tests and for eager-vs-lazy benchmarking, not
-     * for correctness. Fixed at construction.
-     */
-    bool eager_materialisation = false;
 };
 
 /**
@@ -185,7 +177,8 @@ class Device
     std::size_t materializedCount() const { return store_.size(); }
 
     /** Number of configured-but-unmaterialised (journal-deferred)
-     *  elements. Always 0 under eager_materialisation. */
+     *  elements. Always 0 on a device built for the tests' eager
+     *  reference path, which materialises at design load. */
     std::size_t journaledKeyCount() const
     {
         return journal_.activeKeyCount();
@@ -281,7 +274,7 @@ class Device
      * sorted by packed key. This is what a provider-side scrub must
      * drive — materializedIds() alone would miss elements whose
      * tenancies were never measured. Identical to materializedIds()
-     * under eager_materialisation.
+     * on the tests' eager reference path.
      */
     std::vector<ResourceId> imprintedIds() const;
 
@@ -423,9 +416,6 @@ class Device
      */
     void setWorkPool(util::ThreadPool *pool) { pool_ = pool; }
 
-    /** The attached work pool, or nullptr. */
-    util::ThreadPool *workPool() const { return pool_; }
-
     /**
      * Serialize the device's complete dynamic state into the writer's
      * current chunk. Const and strictly non-flushing: pending journal
@@ -494,7 +484,7 @@ class Device
     /**
      * A design's activity map split into cohorts: keys whose elements
      * are materialised resolve to dense handles; the rest stay packed
-     * keys destined for the journal (under eager_materialisation the
+     * keys destined for the journal (on the eager reference path the
      * deferred cohort is always empty — resolution materialises).
      * Cached per (design identity, revision, slab size) so the
      * attack-phase measure/park alternation — the same two designs
@@ -576,6 +566,10 @@ class Device
                        const std::function<void(std::size_t)> &body);
 
     DeviceConfig config_;
+    /** Eager reference path: materialise every configured element at
+     *  design load instead of journaling it. Latched at construction
+     *  from the test-only seam; no production path sets it. */
+    bool eager_;
     double fresh_scale_;
     util::CompensatedSum elapsed_h_;
     std::uint64_t state_epoch_ = 0;

@@ -408,95 +408,6 @@ SnapshotReader::open(const std::string &path)
     return fromBuffer(std::move(image));
 }
 
-namespace {
-
-/**
- * Full structural walk of an image whose header already validated:
- * every chunk header in bounds, sequence numbers dense, every CRC
- * good, exactly one terminal END chunk, no trailing bytes. One cheap
- * CRC pass over memory — done up front by openWithFallback so a torn
- * or bit-rotten generation is rejected before anyone restores from it.
- */
-Expected<void>
-validateChunks(const std::vector<std::uint8_t> &image)
-{
-    std::size_t off = kHeaderBytes;
-    std::uint32_t seq = 0;
-    bool saw_end = false;
-    while (off < image.size()) {
-        if (saw_end) {
-            return unexpected("snapshot: trailing bytes after END chunk");
-        }
-        if (image.size() - off < kChunkHeaderBytes + 4) {
-            return unexpected("snapshot: truncated chunk header");
-        }
-        std::uint32_t tag = 0;
-        std::uint32_t chunk_seq = 0;
-        std::uint64_t len = 0;
-        std::memcpy(&tag, image.data() + off, sizeof(tag));
-        std::memcpy(&chunk_seq, image.data() + off + 4,
-                    sizeof(chunk_seq));
-        std::memcpy(&len, image.data() + off + 8, sizeof(len));
-        if (chunk_seq != seq) {
-            return unexpected("snapshot: chunk out of sequence");
-        }
-        if (len > image.size() - off - kChunkHeaderBytes - 4) {
-            return unexpected("snapshot: chunk length out of bounds");
-        }
-        const std::size_t end = off + kChunkHeaderBytes +
-                                static_cast<std::size_t>(len);
-        std::uint32_t stored = 0;
-        std::memcpy(&stored, image.data() + end, sizeof(stored));
-        if (crc32c(image.data() + off, end - off) != stored) {
-            return unexpected("snapshot: chunk CRC mismatch");
-        }
-        saw_end = tag == kEndTag;
-        off = end + 4;
-        ++seq;
-    }
-    if (!saw_end) {
-        return unexpected("snapshot: missing END chunk");
-    }
-    return {};
-}
-
-} // namespace
-
-Expected<SnapshotReader>
-SnapshotReader::openWithFallback(const std::string &path,
-                                 bool *used_fallback)
-{
-    if (used_fallback != nullptr) {
-        *used_fallback = false;
-    }
-    Expected<SnapshotReader> primary = open(path);
-    if (primary.ok()) {
-        const Expected<void> valid =
-            validateChunks(primary.value().image_);
-        if (valid.ok()) {
-            return primary;
-        }
-        primary = Expected<SnapshotReader>(
-            unexpected(valid.error() + " in " + path));
-    }
-    Expected<SnapshotReader> previous = open(path + ".prev");
-    if (previous.ok()) {
-        const Expected<void> valid =
-            validateChunks(previous.value().image_);
-        if (!valid.ok()) {
-            return unexpected(primary.error() +
-                              " (fallback also failed: " + valid.error() +
-                              " in " + path + ".prev)");
-        }
-        if (used_fallback != nullptr) {
-            *used_fallback = true;
-        }
-        return previous;
-    }
-    return unexpected(primary.error() +
-                      " (fallback also failed: " + previous.error() + ")");
-}
-
 bool
 SnapshotReader::enterChunk(std::uint32_t tag)
 {

@@ -17,6 +17,10 @@
  * `<path>.tmp`, fsync'd, then renamed over `<path>`. commitRotating()
  * additionally keeps the previous good generation at `<path>.prev`, so
  * a crash at any instant leaves at least one loadable checkpoint.
+ * Choosing a generation is the caller's job: open() checks only the
+ * header, each chunk's CRC is checked as it is entered, and a restore
+ * that fails part-way retries `<path>.prev` (campaign resume does, and
+ * also falls back there on config skew).
  *
  * Reading is abort-free: SnapshotReader carries a sticky error (like
  * std::istream) — the first malformed field poisons the reader, every
@@ -41,7 +45,7 @@
 namespace pentimento::util {
 
 /** Format version written to and required from every snapshot. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** Pack a 4-char chunk tag ("BRD!") into its on-disk u32. */
 constexpr std::uint32_t
@@ -212,18 +216,6 @@ class SnapshotReader
 
     /** Load `path` fully into memory and validate the header. */
     static Expected<SnapshotReader> open(const std::string &path);
-
-    /**
-     * Load `path`, falling back to `<path>.prev` when the primary is
-     * missing or structurally corrupt. Unlike open(), every chunk is
-     * CRC-walked up front — one cheap pass over the in-memory image —
-     * so a torn or bit-rotten generation is rejected *here*, before a
-     * caller commits to restoring from it, instead of surfacing as a
-     * read error halfway through the restore. Returns which file was
-     * opened via `used_fallback`.
-     */
-    static Expected<SnapshotReader> openWithFallback(
-        const std::string &path, bool *used_fallback = nullptr);
 
     /** Enter the next chunk, which must carry `tag`. */
     bool enterChunk(std::uint32_t tag);

@@ -38,6 +38,7 @@
 #include "fabric/bram_block.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
+#include "fabric/eager_scope.hpp"
 #include "fabric/route.hpp"
 #include "mitigation/advisor.hpp"
 #include "serve/campaign.hpp"
@@ -348,7 +349,7 @@ scrubLifecycleDelay(bool eager, double pool_hours, bool active_scrub)
     pcl::PlatformConfig config = pco::awsF1Region(31);
     config.fleet_size = 1;
     config.active_scrub = active_scrub;
-    config.device_template.eager_materialisation = eager;
+    const pf::testing::EagerMaterialisationScope scope(eager);
     pcl::CloudPlatform platform(config);
     const auto id = platform.rent();
     pf::Device &device = platform.instance(*id).device();

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fabric/aging_store.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "fabric/drc.hpp"
+#include "fabric/eager_scope.hpp"
 #include "fabric/resource.hpp"
 #include "fabric/route.hpp"
 #include "fabric/routing_element.hpp"
@@ -529,9 +531,12 @@ TEST(DeviceLifecycle, LoadDesignDefersMaterialisationToObservation)
 
 TEST(DeviceLifecycle, EagerConfigMaterializesAtLoad)
 {
-    pf::DeviceConfig config = smallConfig();
-    config.eager_materialisation = true;
-    pf::Device device(config);
+    std::optional<pf::testing::EagerMaterialisationScope> eager;
+    eager.emplace();
+    pf::Device device(smallConfig());
+    // The device latched the seam at construction; closing the scope
+    // must not turn it lazy.
+    eager.reset();
     const pf::RouteSpec spec = device.allocateRoute("r", 500.0);
     auto design = std::make_shared<pf::Design>("d");
     design->setRouteValue(spec, true);

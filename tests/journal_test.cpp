@@ -29,6 +29,7 @@
 #include "core/experiment.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
+#include "fabric/eager_scope.hpp"
 #include "util/rng.hpp"
 
 namespace pc = pentimento::core;
@@ -40,14 +41,21 @@ namespace pu = pentimento::util;
 namespace {
 
 pf::DeviceConfig
-tinyConfig(bool eager)
+tinyConfig()
 {
     pf::DeviceConfig config;
     config.tiles_x = 8;
     config.tiles_y = 8;
     config.nodes_per_tile = 32;
-    config.eager_materialisation = eager;
     return config;
+}
+
+/** A tiny device on the eager reference path or the journaled one. */
+pf::Device
+tinyDevice(bool eager)
+{
+    const pf::testing::EagerMaterialisationScope scope(eager);
+    return pf::Device(tinyConfig());
 }
 
 /** Advance `hours` at a fixed die temperature, in schedule-shaped
@@ -95,7 +103,7 @@ dyadicStepper(std::uint64_t seed)
 std::vector<double>
 runTenancyScenario(bool eager, const Stepper &step)
 {
-    pf::Device device(tinyConfig(eager));
+    pf::Device device = tinyDevice(eager);
     const pf::RouteSpec route_a = device.allocateRoute("a", 600.0);
     const pf::RouteSpec route_b = device.allocateRoute("b", 400.0);
     const pf::RouteSpec route_c = device.allocateRoute("c", 500.0);
@@ -164,11 +172,12 @@ TEST(JournalEquivalence, TenancyChurnScenarioMatchesEagerBitwise)
     // The shared churn fixture (mid-tenancy mitigation flips, fresh
     // routes per tenancy, observation of the last two tenancies only)
     // must not see the journal either.
-    pc::TenancyChurnConfig lazy;
-    pc::TenancyChurnConfig eager;
-    eager.device.eager_materialisation = true;
-    const pc::TenancyChurnResult a = pc::runTenancyChurn(lazy);
-    const pc::TenancyChurnResult b = pc::runTenancyChurn(eager);
+    const pc::TenancyChurnResult a =
+        pc::runTenancyChurn(pc::TenancyChurnConfig{});
+    const pc::TenancyChurnResult b = [] {
+        const pf::testing::EagerMaterialisationScope eager;
+        return pc::runTenancyChurn(pc::TenancyChurnConfig{});
+    }();
     EXPECT_EQ(a.observed_delays_ps, b.observed_delays_ps);
     EXPECT_EQ(a.elapsed_h, b.elapsed_h);
     // Only the observed tenancies' elements materialised in the lazy
@@ -187,7 +196,7 @@ TEST(JournalEquivalence, CompactionRebaseKeepsDeferredReplayExact)
     // prefix and must rebase the deferred positions — and the late
     // replay must still be bit-identical to eager.
     const auto run = [](bool eager) {
-        pf::Device device(tinyConfig(eager));
+        pf::Device device = tinyDevice(eager);
         const pf::RouteSpec pinned = device.allocateRoute("p", 500.0);
         const pf::RouteSpec watched = device.allocateRoute("w", 500.0);
         auto design = std::make_shared<pf::Design>("d");
@@ -231,7 +240,7 @@ TEST(JournalEquivalence, ReserveAfterLoadInvalidatesResolutionRefresh)
     // (Found by review: without the keyset bump the delays silently
     // diverge.)
     const auto run = [](bool reserve_between) {
-        pf::Device device(tinyConfig(false));
+        pf::Device device(tinyConfig());
         std::vector<pf::RouteSpec> routes;
         auto design = std::make_shared<pf::Design>("d");
         for (int r = 0; r < 6; ++r) {
@@ -275,7 +284,7 @@ TEST(JournalLaziness, LoadWipeChurnTouchesNoElements)
 
 TEST(JournalLaziness, ImprintedIdsListsDeferredAndMaterialised)
 {
-    pf::Device device(tinyConfig(false));
+    pf::Device device(tinyConfig());
     const pf::RouteSpec burned = device.allocateRoute("x", 500.0);
     const pf::RouteSpec seen = device.allocateRoute("y", 500.0);
     auto design = std::make_shared<pf::Design>("d");
@@ -301,7 +310,7 @@ TEST(JournalLaziness, MaterialisedDesignLoadDoesNotGrowTheTable)
     // already materialised (the TM2 attacker's measure and park
     // designs) journals nothing, so the load must not reserve table
     // room for those keys either.
-    pf::Device device(tinyConfig(false));
+    pf::Device device(tinyConfig());
     std::vector<pf::RouteSpec> routes;
     std::size_t elements = 0;
     for (int r = 0; elements < 100; ++r) {
@@ -347,7 +356,8 @@ std::vector<double>
 runCloudScenario(bool eager)
 {
     pcl::AmbientParams ambient;
-    pcl::FpgaInstance inst("fpga-jx", tinyConfig(eager), ambient,
+    const pf::testing::EagerMaterialisationScope scope(eager);
+    pcl::FpgaInstance inst("fpga-jx", tinyConfig(), ambient,
                            pu::Rng(909));
     pf::Device &device = inst.device();
     const pf::RouteSpec spec = device.allocateRoute("r", 800.0);
@@ -373,7 +383,7 @@ TEST(JournalCloudDeferral, CreditIdleHoursComposesWithJournal)
 TEST(JournalCloudDeferral, IdleBacklogStaysDeferredUntilObservation)
 {
     pcl::AmbientParams ambient;
-    pcl::FpgaInstance inst("fpga-jy", tinyConfig(false), ambient,
+    pcl::FpgaInstance inst("fpga-jy", tinyConfig(), ambient,
                            pu::Rng(910));
     // Allocation is pure bookkeeping: no observation, no flush.
     pf::RouteSpec spec;

@@ -23,6 +23,7 @@
 #include "core/presets.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
+#include "fabric/eager_scope.hpp"
 #include "phys/aging.hpp"
 #include "phys/thermal.hpp"
 #include "tdc/tdc.hpp"
@@ -533,15 +534,17 @@ class JournalInterleaving
     : public ::testing::TestWithParam<std::uint64_t>
 {
   protected:
-    static pf::DeviceConfig
-    deviceConfig(bool eager)
+    /** A tiny device on the eager reference path or the journaled
+     *  one. */
+    static pf::Device
+    makeDevice(bool eager)
     {
         pf::DeviceConfig config;
         config.tiles_x = 8;
         config.tiles_y = 8;
         config.nodes_per_tile = 32;
-        config.eager_materialisation = eager;
-        return config;
+        const pf::testing::EagerMaterialisationScope scope(eager);
+        return pf::Device(config);
     }
 
     /**
@@ -618,8 +621,8 @@ class JournalInterleaving
 
 TEST_P(JournalInterleaving, FullObservationConvergesToEagerSet)
 {
-    pf::Device eager(deviceConfig(true));
-    pf::Device lazy(deviceConfig(false));
+    pf::Device eager = makeDevice(true);
+    pf::Device lazy = makeDevice(false);
     const std::vector<pf::RouteSpec> routes_e =
         drive(eager, GetParam());
     const std::vector<pf::RouteSpec> routes_l =
@@ -654,7 +657,7 @@ TEST_P(JournalInterleaving, ObservationOrderNeverChangesAnyDelay)
     // in different seeded shuffle orders; each route's delays must be
     // bit-identical however late (or early) its journal is consumed.
     const auto runWithOrder = [&](std::uint64_t shuffle_seed) {
-        pf::Device device(deviceConfig(false));
+        pf::Device device = makeDevice(false);
         const std::vector<pf::RouteSpec> routes =
             drive(device, GetParam());
         std::vector<std::size_t> order(routes.size());

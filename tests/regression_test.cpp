@@ -36,6 +36,7 @@
 #include "core/presets.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
+#include "fabric/eager_scope.hpp"
 #include "phys/thermal.hpp"
 #include "tdc/measure_design.hpp"
 #include "tdc/tdc.hpp"
@@ -413,9 +414,9 @@ TEST(GoldenRegression, TenancyChurnEagerMatchesSameGolden)
 {
     // The eager path must land on the identical doubles — this is the
     // regression-level statement of eager/lazy equivalence.
-    pc::TenancyChurnConfig config;
-    config.device.eager_materialisation = true;
-    const pc::TenancyChurnResult result = pc::runTenancyChurn(config);
+    const pf::testing::EagerMaterialisationScope eager;
+    const pc::TenancyChurnResult result =
+        pc::runTenancyChurn(pc::TenancyChurnConfig{});
     ASSERT_EQ(result.observed_delays_ps.size(), kChurnGolden.size());
     for (std::size_t i = 0; i < kChurnGolden.size(); ++i) {
         EXPECT_EQ(result.observed_delays_ps[i], kChurnGolden[i])

@@ -25,6 +25,7 @@
 #include "serve/wire.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
+#include "util/snapshot.hpp"
 
 namespace {
 
@@ -1345,6 +1346,50 @@ TEST_F(FleetScanResumeTest, BitRottenPrimaryResumesFromPrevGeneration)
               reference);
 }
 
+TEST_F(FleetScanResumeTest, TornRenameOnLastCommitResumesFromPrev)
+{
+    const util::Expected<serve::FleetScanResult> straight =
+        serve::runFleetScan(scanConfig());
+    ASSERT_TRUE(straight.ok()) << straight.error();
+    const std::vector<std::uint8_t> reference =
+        serve::encodeFleetScanResult(1, straight.value());
+
+    // The interrupted run commits at days 5 and 10 and flushes at the
+    // day-12 cancellation. The flush's rename goes through with half
+    // the image, so the published primary is torn and only the day-10
+    // generation, rotated to .prev first, is whole.
+    const util::Expected<util::fault::Schedule> schedule =
+        util::fault::parseSchedule(
+            "seed=1;snapshot.commit.torn_rename:skip=2,max=1");
+    ASSERT_TRUE(schedule.ok()) << schedule.error();
+    util::fault::arm(schedule.value());
+    serve::FleetScanConfig interrupted = scanConfig();
+    interrupted.checkpoint_every_days = 5;
+    interrupted.checkpoint_path = dir_ + "/scan.ckpt";
+    CancelAfter cancel(12);
+    interrupted.observer = &cancel;
+    EXPECT_THROW((void)serve::runFleetScan(interrupted),
+                 util::CancelledError);
+    const std::vector<util::fault::PointStats> stats =
+        util::fault::stats();
+    util::fault::disarm();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].evaluations, 3u);
+    EXPECT_EQ(stats[0].fires, 1u);
+
+    serve::FleetScanConfig resumed = scanConfig();
+    resumed.checkpoint_every_days = 5;
+    resumed.checkpoint_path = dir_ + "/scan.ckpt";
+    resumed.resume = serve::ResumeMode::Require;
+    const util::Expected<serve::FleetScanResult> result =
+        serve::runFleetScan(resumed);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(result.value().resumed_from, dir_ + "/scan.ckpt.prev");
+    EXPECT_EQ(result.value().resumed_day, 10);
+    EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
+              reference);
+}
+
 #endif // PENTIMENTO_FAULT_INJECTION
 
 TEST_F(FleetScanResumeTest, CorruptCheckpointFallsBackToFreshRun)
@@ -1354,7 +1399,8 @@ TEST_F(FleetScanResumeTest, CorruptCheckpointFallsBackToFreshRun)
     ASSERT_TRUE(straight.ok()) << straight.error();
 
     // A real checkpoint from an interrupted run, its format version
-    // byte set back to 1: a pre-v2 file must be refused, not parsed.
+    // byte set back one: a file of the previous format must be
+    // refused, not parsed.
     const std::string path = dir_ + "/scan.ckpt";
     serve::FleetScanConfig interrupted = scanConfig();
     interrupted.checkpoint_every_days = 5;
@@ -1363,17 +1409,17 @@ TEST_F(FleetScanResumeTest, CorruptCheckpointFallsBackToFreshRun)
     interrupted.observer = &cancel;
     EXPECT_THROW((void)serve::runFleetScan(interrupted),
                  util::CancelledError);
-    std::string version1;
+    std::string stale;
     if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
         int c = 0;
         while ((c = std::fgetc(in)) != EOF) {
-            version1.push_back(static_cast<char>(c));
+            stale.push_back(static_cast<char>(c));
         }
         std::fclose(in);
     }
-    ASSERT_GT(version1.size(), 16u);
-    ASSERT_EQ(version1[8], 2);
-    version1[8] = 1;
+    ASSERT_GT(stale.size(), 16u);
+    ASSERT_EQ(stale[8], static_cast<char>(util::kSnapshotVersion));
+    stale[8] = static_cast<char>(util::kSnapshotVersion - 1);
 
     struct Input
     {
@@ -1383,7 +1429,7 @@ TEST_F(FleetScanResumeTest, CorruptCheckpointFallsBackToFreshRun)
     };
     const Input inputs[] = {
         {"garbage", "not a snapshot", "shorter than header"},
-        {"version 1", version1, "unsupported format version"},
+        {"previous version", stale, "unsupported format version"},
     };
     for (const Input &input : inputs) {
         SCOPED_TRACE(input.name);

@@ -32,6 +32,7 @@
 #include "fabric/activity_journal.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
+#include "fabric/eager_scope.hpp"
 #include "fabric/route.hpp"
 #include "serve/campaign.hpp"
 #include "util/expected.hpp"
@@ -163,6 +164,38 @@ readMarker(pu::SnapshotReader &reader)
     EXPECT_TRUE(reader.leaveChunk());
     EXPECT_TRUE(reader.expectEnd());
     return marker;
+}
+
+/**
+ * The marker of the generation at `path`, read the way campaign resume
+ * reads a checkpoint: open() checks the header, and each chunk's CRC
+ * is checked as the chunk is entered. Any rejection is the error.
+ */
+pu::Expected<std::uint64_t>
+markerAt(const std::string &path)
+{
+    pu::Expected<pu::SnapshotReader> opened = pu::SnapshotReader::open(path);
+    if (!opened.ok()) {
+        return pu::unexpected(opened.error());
+    }
+    pu::SnapshotReader &reader = opened.value();
+    if (!reader.enterChunk(kTag1)) {
+        return pu::unexpected(reader.error());
+    }
+    const std::uint64_t marker = reader.u64();
+    if (!reader.leaveChunk() || !reader.expectEnd()) {
+        return pu::unexpected(reader.error());
+    }
+    return marker;
+}
+
+/** markerAt(), or 0 after recording the rejection as a failure. */
+std::uint64_t
+goodMarkerAt(const std::string &path)
+{
+    const pu::Expected<std::uint64_t> marker = markerAt(path);
+    EXPECT_TRUE(marker.ok()) << path << ": " << marker.error();
+    return marker.ok() ? marker.value() : 0;
 }
 
 } // namespace
@@ -460,7 +493,7 @@ TEST(SnapshotFormat, StickyErrorReturnsZeroes)
     EXPECT_FALSE(r.status().ok());
 }
 
-// ------------------------------------------- atomic commit & fallback
+// ------------------------------------------ atomic commit & generations
 
 TEST(SnapshotFormat, CommitIsAtomicAndReopens)
 {
@@ -505,21 +538,14 @@ TEST(SnapshotFormat, RotatingCommitSurvivesCorruptPrimary)
         EXPECT_TRUE(fileExists(prev));
     }
     // Both generations intact and distinguishable.
-    bool used_fallback = true;
-    pu::Expected<pu::SnapshotReader> fresh =
-        pu::SnapshotReader::openWithFallback(path, &used_fallback);
-    ASSERT_TRUE(fresh.ok());
-    EXPECT_FALSE(used_fallback);
-    EXPECT_EQ(readMarker(fresh.value()), 2u);
+    EXPECT_EQ(goodMarkerAt(path), 2u);
+    EXPECT_EQ(goodMarkerAt(prev), 1u);
 
-    // Corrupt the primary (torn/garbage write): fallback recovers the
-    // previous good generation.
+    // Corrupt the primary (torn/garbage write): it is refused, and the
+    // previous good generation still reads.
     writeRawFile(path, "not a snapshot");
-    pu::Expected<pu::SnapshotReader> recovered =
-        pu::SnapshotReader::openWithFallback(path, &used_fallback);
-    ASSERT_TRUE(recovered.ok()) << recovered.error();
-    EXPECT_TRUE(used_fallback);
-    EXPECT_EQ(readMarker(recovered.value()), 1u);
+    EXPECT_FALSE(markerAt(path).ok());
+    EXPECT_EQ(goodMarkerAt(prev), 1u);
 
     std::remove(path.c_str());
     std::remove(prev.c_str());
@@ -541,29 +567,23 @@ TEST(SnapshotFormat, CrashBetweenTempWriteAndRenameIsHarmless)
     // Crash while writing the next generation: a torn .tmp exists but
     // neither published file was touched.
     writeRawFile(path + ".tmp", "PNTM torn half-written image");
-    bool used_fallback = true;
-    pu::Expected<pu::SnapshotReader> primary =
-        pu::SnapshotReader::openWithFallback(path, &used_fallback);
-    ASSERT_TRUE(primary.ok());
-    EXPECT_FALSE(used_fallback);
-    EXPECT_EQ(readMarker(primary.value()), 1u);
+    EXPECT_EQ(goodMarkerAt(path), 1u);
     std::remove((path + ".tmp").c_str());
 
     // Crash between the two renames of a rotating commit: the primary
     // is already rotated away, .prev still loads.
     ASSERT_EQ(std::rename(path.c_str(), prev.c_str()), 0);
-    pu::Expected<pu::SnapshotReader> fallback =
-        pu::SnapshotReader::openWithFallback(path, &used_fallback);
-    ASSERT_TRUE(fallback.ok()) << fallback.error();
-    EXPECT_TRUE(used_fallback);
-    EXPECT_EQ(readMarker(fallback.value()), 1u);
+    EXPECT_FALSE(markerAt(path).ok());
+    EXPECT_EQ(goodMarkerAt(prev), 1u);
 
-    // Both generations gone: a recoverable error naming both paths.
+    // Both generations gone: recoverable errors naming each path.
     std::remove(prev.c_str());
-    pu::Expected<pu::SnapshotReader> neither =
-        pu::SnapshotReader::openWithFallback(path, &used_fallback);
-    EXPECT_FALSE(neither.ok());
-    EXPECT_NE(neither.error().find("fallback"), std::string::npos);
+    for (const std::string &gone : {path, prev}) {
+        const pu::Expected<std::uint64_t> missing = markerAt(gone);
+        ASSERT_FALSE(missing.ok());
+        EXPECT_NE(missing.error().find(gone), std::string::npos)
+            << missing.error();
+    }
 }
 
 // A field that would run past its span panics before it is stored, in
@@ -595,9 +615,6 @@ TEST(SnapshotFormat, OpenReaderStillChecksChunkCrc)
     EXPECT_FALSE(opened.value().enterChunk(kTag1));
     EXPECT_NE(opened.value().error().find("CRC mismatch"), std::string::npos)
         << opened.value().error();
-
-    // The fallback chain rejects the same image up front.
-    EXPECT_FALSE(pu::SnapshotReader::openWithFallback(path).ok());
     std::remove(path.c_str());
 }
 
@@ -606,7 +623,7 @@ TEST(SnapshotFormat, OpenReaderStillChecksChunkCrc)
 // Failed-commit hygiene, driven through the same injection points the
 // chaos battery schedules: a commit that fails for *any* reason must
 // leave no stale .tmp behind and must not have touched the published
-// generations — .prev still rescues after a torn rename.
+// generations — the rotated .prev still reads.
 TEST(SnapshotFormat, InjectedCommitFailuresLeaveNoTmpAndKeepPrev)
 {
     const std::string path = tempPath("snap_fault.bin");
@@ -640,14 +657,10 @@ TEST(SnapshotFormat, InjectedCommitFailuresLeaveNoTmpAndKeepPrev)
         ASSERT_FALSE(committed.ok()) << point << " did not fire";
         // No half-written temp file may survive the failure.
         EXPECT_FALSE(fileExists(path + ".tmp")) << point;
-        // The rotation already moved gen1 to .prev; the fallback chain
-        // must still deliver it.
-        bool used_fallback = false;
-        pu::Expected<pu::SnapshotReader> recovered =
-            pu::SnapshotReader::openWithFallback(path, &used_fallback);
-        ASSERT_TRUE(recovered.ok()) << point << ": " << recovered.error();
-        EXPECT_TRUE(used_fallback) << point;
-        EXPECT_EQ(readMarker(recovered.value()), 1u) << point;
+        // The rotation already moved gen1 to .prev, where it must
+        // still read; nothing was published in its place.
+        EXPECT_FALSE(markerAt(path).ok()) << point;
+        EXPECT_EQ(goodMarkerAt(prev), 1u) << point;
 
         // Reset for the next failure mode: republish gen1 as primary.
         std::remove(path.c_str());
@@ -665,8 +678,8 @@ TEST(SnapshotFormat, InjectedCommitFailuresLeaveNoTmpAndKeepPrev)
 // A torn rename is worse than a clean failure: the rename itself
 // succeeds, so the *published primary* is truncated mid-image (the
 // crash-between-fwrite-and-fsync shape) and commit reports it only
-// after the fact. CRC validation must reject the primary and the
-// rotating fallback must deliver the previous generation.
+// after the fact. Entering the primary's chunks must reject it, and
+// the rotated .prev must still deliver the previous generation.
 TEST(SnapshotFormat, InjectedTornRenamePublishesCorruptPrimaryPrevRescues)
 {
     const std::string path = tempPath("snap_torn.bin");
@@ -698,23 +711,18 @@ TEST(SnapshotFormat, InjectedTornRenamePublishesCorruptPrimaryPrevRescues)
         << committed.error();
     EXPECT_FALSE(fileExists(path + ".tmp"));
     // Header-only open() cannot see the damage (the first 16 bytes
-    // survived the tear) — the fallback chain's full CRC walk must.
+    // survived the tear); entering the chunks must.
     EXPECT_TRUE(pu::SnapshotReader::open(path).ok());
-
-    bool used_fallback = false;
-    pu::Expected<pu::SnapshotReader> recovered =
-        pu::SnapshotReader::openWithFallback(path, &used_fallback);
-    ASSERT_TRUE(recovered.ok()) << recovered.error();
-    EXPECT_TRUE(used_fallback);
-    EXPECT_EQ(readMarker(recovered.value()), 1u);
+    EXPECT_FALSE(markerAt(path).ok());
+    EXPECT_EQ(goodMarkerAt(prev), 1u);
 
     std::remove(path.c_str());
     std::remove(prev.c_str());
 }
 
 // The load-side bit-rot point: a good image on disk, corrupted once in
-// flight. The first open (of the primary) rejects; the fallback open
-// of .prev succeeds because max=1 spends the fault on the primary.
+// flight. The primary's read rejects; the next open, of .prev,
+// succeeds because max=1 spends the fault on the primary.
 TEST(SnapshotFormat, InjectedLoadCorruptionFallsBackToPrev)
 {
     const std::string path = tempPath("snap_rot.bin");
@@ -734,13 +742,12 @@ TEST(SnapshotFormat, InjectedLoadCorruptionFallsBackToPrev)
         pu::fault::parseSchedule("seed=1;snapshot.load.corrupt_crc:max=1");
     ASSERT_TRUE(schedule.ok()) << schedule.error();
     pu::fault::arm(schedule.value());
-    bool used_fallback = false;
-    pu::Expected<pu::SnapshotReader> recovered =
-        pu::SnapshotReader::openWithFallback(path, &used_fallback);
+    const pu::Expected<std::uint64_t> primary = markerAt(path);
+    const pu::Expected<std::uint64_t> previous = markerAt(prev);
     pu::fault::disarm();
-    ASSERT_TRUE(recovered.ok()) << recovered.error();
-    EXPECT_TRUE(used_fallback);
-    EXPECT_EQ(readMarker(recovered.value()), 1u);
+    EXPECT_FALSE(primary.ok());
+    ASSERT_TRUE(previous.ok()) << previous.error();
+    EXPECT_EQ(previous.value(), 1u);
 
     std::remove(path.c_str());
     std::remove(prev.c_str());
@@ -774,6 +781,45 @@ tinyConfig(std::uint64_t seed)
     config.seed = seed;
     config.service_age_h = 20000.0;
     return config;
+}
+
+/**
+ * Every field of the device config fingerprint, with its width in the
+ * image and a skew of tinyConfig() that restore must refuse. The
+ * family is the length-prefixed string ahead of the fixed-width
+ * fields, so it has no fixed width.
+ */
+struct FingerprintField
+{
+    const char *name;
+    std::size_t bytes;
+    void (*skew)(pf::DeviceConfig &);
+};
+
+const FingerprintField kFingerprintFields[] = {
+    {"family", 0, [](pf::DeviceConfig &c) { c.family = "xczu9eg"; }},
+    {"seed", 8, [](pf::DeviceConfig &c) { c.seed += 1; }},
+    {"service_age_h", 8,
+     [](pf::DeviceConfig &c) { c.service_age_h += 1.0; }},
+    {"tiles_x", 4, [](pf::DeviceConfig &c) { c.tiles_x = 9; }},
+    {"tiles_y", 4, [](pf::DeviceConfig &c) { c.tiles_y = 9; }},
+    {"nodes_per_tile", 4,
+     [](pf::DeviceConfig &c) { c.nodes_per_tile = 33; }},
+    {"bram_retention_median_h", 8,
+     [](pf::DeviceConfig &c) { c.bram_retention_median_h *= 2.0; }},
+    {"bram_retention_sigma", 8,
+     [](pf::DeviceConfig &c) { c.bram_retention_sigma += 0.5; }},
+};
+
+/** Bytes of the fixed-width fingerprint fields. */
+std::size_t
+fingerprintBytes()
+{
+    std::size_t bytes = 0;
+    for (const FingerprintField &field : kFingerprintFields) {
+        bytes += field.bytes;
+    }
+    return bytes;
 }
 
 std::vector<std::uint8_t>
@@ -914,11 +960,99 @@ TEST(SnapshotDevice, ConfigFingerprintSkewRejected)
     source.advanceAt(3.0, 349.0);
     const std::vector<std::uint8_t> image = saveDeviceImage(source);
 
-    pf::Device other_seed(tinyConfig(6));
+    pf::Device same(tinyConfig(5));
+    const pu::Expected<void> restored = restoreDeviceImage(image, same);
+    ASSERT_TRUE(restored.ok()) << restored.error();
+
+    // A skew in any one fingerprint field is a different board.
+    for (const FingerprintField &field : kFingerprintFields) {
+        SCOPED_TRACE(field.name);
+        pf::DeviceConfig config = tinyConfig(5);
+        field.skew(config);
+        pf::Device other(config);
+        const pu::Expected<void> result = restoreDeviceImage(image, other);
+        ASSERT_FALSE(result.ok());
+        EXPECT_NE(result.error().find("fingerprint"), std::string::npos)
+            << result.error();
+    }
+}
+
+// The fingerprint carries no materialisation mode, so an image saved
+// from a device on the tests' eager reference path restores into a
+// default device. Materialisation never moves the physics: every later
+// observed delay must equal the straight lazy run's.
+TEST(SnapshotDevice, EagerReferenceImageRestoresIntoDefaultDevice)
+{
+    const auto secondTenant = [](const std::vector<pf::RouteSpec> &r) {
+        auto design = std::make_shared<pf::Design>("t2");
+        design->setRouteValue(r[0], false);
+        design->setRouteValue(r[2], true);
+        return design;
+    };
+    // Two tenancies, the second still resident with its segment open.
+    const auto tenancies = [&](pf::Device &device) {
+        const std::vector<pf::RouteSpec> routes = {
+            device.allocateRoute("a", 600.0),
+            device.allocateRoute("b", 400.0),
+            device.allocateRoute("c", 500.0)};
+        auto first = std::make_shared<pf::Design>("t1");
+        first->setRouteValue(routes[0], true);
+        first->setRouteToggling(routes[1], 0.3);
+        device.loadDesign(first);
+        device.advanceAt(37.0, 348.15);
+        device.wipe();
+        device.advanceAt(20.0, 320.0);
+        device.loadDesign(secondTenant(routes));
+        device.advanceAt(11.5, 351.0);
+        return routes;
+    };
+    pf::Device lazy(tinyConfig(83));
+    pf::Device eager = [] {
+        const pf::testing::EagerMaterialisationScope scope;
+        return pf::Device(tinyConfig(83));
+    }();
+    const std::vector<pf::RouteSpec> routes = tenancies(lazy);
+    (void)tenancies(eager);
+    ASSERT_EQ(lazy.materializedCount(), 0u);
+    ASSERT_EQ(eager.journaledKeyCount(), 0u);
+    ASSERT_GT(eager.materializedCount(), 0u);
+
+    pf::Device restored(tinyConfig(83));
+    bool had_design = false;
     const pu::Expected<void> result =
-        restoreDeviceImage(image, other_seed);
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.error().find("fingerprint"), std::string::npos);
+        restoreDeviceImage(saveDeviceImage(eager), restored, &had_design);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_TRUE(had_design);
+    EXPECT_EQ(restored.materializedCount(), eager.materializedCount());
+
+    // Re-load the resident design (draw-neutral on the straight run),
+    // then a third tenancy whose new route the restored default
+    // device journals rather than materialises.
+    const auto continuation = [&](pf::Device &device) {
+        std::vector<double> obs;
+        device.loadDesign(secondTenant(routes));
+        device.advanceAt(6.0, 350.0);
+        const pf::RouteSpec rd = device.allocateRoute("d", 450.0);
+        auto third = std::make_shared<pf::Design>("t3");
+        third->setRouteValue(routes[1], true);
+        third->setRouteValue(rd, false);
+        device.loadDesign(third);
+        obs.push_back(static_cast<double>(device.findElement(
+                          rd.elements.front()) == nullptr));
+        device.advanceAt(30.0, 349.0);
+        for (const pf::RouteSpec &route : routes) {
+            observeRoute(device, route, obs);
+        }
+        observeRoute(device, rd, obs);
+        device.wipe();
+        device.advanceAt(12.0, 318.15);
+        observeRoute(device, routes[0], obs);
+        observeRoute(device, rd, obs);
+        return obs;
+    };
+    const std::vector<double> straight = continuation(lazy);
+    ASSERT_EQ(straight.front(), 1.0) << "the new route must journal";
+    expectSameSeries(straight, continuation(restored));
 }
 
 TEST(SnapshotDevice, CorruptImageNeverAborts)
@@ -965,12 +1099,13 @@ TEST(SnapshotDevice, HugeRecordCountsAreRejected)
     (void)source.element(r.elements.front());
     const std::vector<std::uint8_t> image = saveDeviceImage(source);
 
-    // Payload: family string, 45 fingerprint bytes, 57 clock bytes,
-    // then the segment count; the element count follows the closed
-    // segments (24 bytes each) and the 33-byte open segment.
+    // Payload: family string, the fixed-width fingerprint fields, 57
+    // clock bytes, then the segment count; the element count follows
+    // the closed segments (24 bytes each) and the 33-byte open segment.
     std::uint64_t family_len = 0;
     std::memcpy(&family_len, image.data() + 32, sizeof(family_len));
-    const std::size_t segments_at = 32 + 8 + family_len + 45 + 57;
+    const std::size_t segments_at =
+        32 + 8 + family_len + fingerprintBytes() + 57;
     std::uint64_t segments = 0;
     std::memcpy(&segments, image.data() + segments_at, sizeof(segments));
     const std::size_t elements_at = segments_at + 8 + 24 * segments + 33;
@@ -1680,21 +1815,21 @@ haltedCheckpointStamp(const std::string &leaf, bool stress_and_bram)
 } // namespace
 
 // The serializers write records straight into a pre-sized buffer;
-// these stamps lock the format v2 checkpoint bytes themselves. A
+// these stamps lock the format v3 checkpoint bytes themselves. A
 // serializer change that moves a byte must bump kSnapshotVersion and
 // re-pin them.
 TEST(SnapshotImage, HaltedFleetCheckpointIsByteIdentical)
 {
     const ImageStamp stamp =
         haltedCheckpointStamp("snap_pin_plain.ckpt", false);
-    EXPECT_EQ(stamp.size, 93536u);
-    EXPECT_EQ(stamp.fnv1a, 0x262384c6e1468888ULL);
+    EXPECT_EQ(stamp.size, 93530u);
+    EXPECT_EQ(stamp.fnv1a, 0x60cbd0f150bb3929ULL);
 }
 
 TEST(SnapshotImage, HaltedStressBramCheckpointIsByteIdentical)
 {
     const ImageStamp stamp =
         haltedCheckpointStamp("snap_pin_stress.ckpt", true);
-    EXPECT_EQ(stamp.size, 95154u);
-    EXPECT_EQ(stamp.fnv1a, 0x4537353a697bf7e9ULL);
+    EXPECT_EQ(stamp.size, 95148u);
+    EXPECT_EQ(stamp.fnv1a, 0xa96893ec441c957aULL);
 }
