@@ -77,6 +77,11 @@ runPolicy(const std::string &name, cloud::BramScrubPolicy policy)
 int
 main(int argc, char **argv)
 {
+    if (!bench::argsAreKnown(argc, argv, "ablation_bram_scrub",
+                             {"--csv"})) {
+        std::fprintf(stderr, "usage: ablation_bram_scrub [--csv PATH]\n");
+        return 2;
+    }
     std::printf("=== Ablation: provider BRAM content-scrub policies "
                 "===\n");
     std::printf("(%zu boards, %d simulated days, TM2 readout of the "

@@ -55,6 +55,7 @@ runBurn(double hours)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_burn_time");
     std::printf("=== Ablation: burn-in duration vs. TM1 accuracy "
                 "(cloud, 5 ns routes) ===\n\n");
     std::printf("  %9s  %14s  %12s\n", "burn (h)", "contrast(ps)",

@@ -77,6 +77,7 @@ readAfterGap(double gap_hours, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_channel_lifetime");
     std::printf("=== Ablation: temporal-channel lifetime — heat vs. "
                 "pentimento ===\n");
     std::printf("(one 5 ns route held at 1 by an 80 W design for "

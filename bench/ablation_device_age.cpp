@@ -63,6 +63,7 @@ contrastForAge(double age_hours, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_device_age");
     std::printf("=== Ablation: device age vs. burn-in contrast "
                 "(5 ns routes, 200 h at 60 C) ===\n\n");
     std::printf("  %12s  %14s  %16s\n", "age", "contrast(ps)",

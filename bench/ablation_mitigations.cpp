@@ -56,6 +56,7 @@ tm2Accuracy(mitigation::MitigationStrategy *strategy,
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_mitigations");
     std::printf("=== Ablation: mitigations vs. attacker accuracy "
                 "===\n\n");
 

@@ -45,6 +45,7 @@ tm2Accuracy(double quarantine_hours, bool active_scrub,
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_provider_scrub");
     std::printf("=== Ablation: provider-side scrubbing vs. Threat "
                 "Model 2 ===\n");
     std::printf("(12 bits on 8 ns routes, 150 h victim burn; a "

@@ -72,6 +72,7 @@ runLength(double length, const opentitan::VulnerabilityMetric &metric)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_route_length");
     std::printf("=== Ablation: route length vs. recoverability "
                 "(cloud, 100 h burn) ===\n\n");
 

@@ -118,6 +118,7 @@ runComparison(double ambient_sigma_k, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_sensor");
     std::printf("=== Ablation: TDC vs. ring-oscillator sensor "
                 "(12 bits, 5 ns routes, 150 h) ===\n\n");
 

@@ -93,6 +93,7 @@ accuracyWithKnowledge(double knowledge, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_skeleton");
     std::printf("=== Ablation: skeleton knowledge (Assumption 1) vs. "
                 "recovery accuracy ===\n");
     std::printf("(16 bits on 5 ns routes, 150 h burn, lab "

@@ -86,6 +86,7 @@ contrastAtDwell(double dwell, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_static_vs_dynamic");
     std::printf("=== Ablation: data dwell time vs. pentimento "
                 "contrast ===\n");
     std::printf("(8 bits on 5 ns routes, 150 h at 60 C; dwell = "

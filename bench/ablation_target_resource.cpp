@@ -103,6 +103,7 @@ burnAndMeasure(bool use_lut, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_target_resource");
     std::printf("=== Ablation: target resource — programmable routing "
                 "vs. LUT config SRAM ===\n");
     std::printf("(8 bits, ~5 ns paths, 200 h burn at 60 C, 64-tap "

@@ -64,6 +64,7 @@ contrastAtTemperature(double temp_c, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "ablation_temperature");
     std::printf("=== Ablation: temperature vs. burn-in contrast "
                 "(5 ns routes, 100 h, new device) ===\n\n");
     std::printf("  %8s  %14s  %12s\n", "temp", "contrast(ps)",

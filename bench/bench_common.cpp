@@ -90,6 +90,59 @@ hasFlag(int argc, char **argv, const char *flag)
     return false;
 }
 
+const char *
+parseStringFlag(int argc, char **argv, const char *flag,
+                const char *fallback)
+{
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], flag) == 0) {
+            return argv[i + 1];
+        }
+    }
+    return fallback;
+}
+
+bool
+argsAreKnown(int argc, char **argv, const char *program,
+             std::initializer_list<const char *> value_flags,
+             std::initializer_list<const char *> bare_flags)
+{
+    const auto named = [](std::initializer_list<const char *> flags,
+                          const char *arg) {
+        for (const char *flag : flags) {
+            if (std::strcmp(arg, flag) == 0) {
+                return true;
+            }
+        }
+        return false;
+    };
+    for (int i = 1; i < argc; ++i) {
+        if (named(value_flags, argv[i])) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s: missing value for %s\n",
+                             program, argv[i]);
+                return false;
+            }
+            ++i;
+        } else if (!named(bare_flags, argv[i])) {
+            std::fprintf(stderr, "%s: unknown flag '%s'\n", program,
+                         argv[i]);
+            return false;
+        }
+    }
+    return true;
+}
+
+void
+requireSweepArgs(int argc, char **argv, const char *program)
+{
+    if (!argsAreKnown(argc, argv, program, {"--workers", "--csv"})) {
+        std::fprintf(stderr, "usage: %s [--workers N] [--csv PATH]\n",
+                     program);
+        std::exit(2);
+    }
+}
+
 std::unique_ptr<util::ThreadPool>
 makePool(int argc, char **argv)
 {
@@ -206,12 +259,7 @@ dumpCsv(const core::ExperimentResult &result, const std::string &path)
 const char *
 csvPath(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--csv") == 0) {
-            return argv[i + 1];
-        }
-    }
-    return nullptr;
+    return parseStringFlag(argc, argv, "--csv", nullptr);
 }
 
 bool

@@ -7,6 +7,7 @@
 #define PENTIMENTO_BENCH_COMMON_HPP
 
 #include <climits>
+#include <initializer_list>
 #include <memory>
 #include <string>
 
@@ -39,6 +40,30 @@ long parseLongFlag(int argc, char **argv, const char *flag,
 /** True when a bare boolean flag (e.g. `--journal-stress`) is
  *  present. */
 bool hasFlag(int argc, char **argv, const char *flag);
+
+/** `--flag VALUE` string argument, or `fallback` when the flag is
+ *  absent. */
+const char *parseStringFlag(int argc, char **argv, const char *flag,
+                            const char *fallback);
+
+/**
+ * Whitelist scan of the whole command line: every argument must be
+ * one of `value_flags` followed by its value, or one of `bare_flags`.
+ * Anything else prints "<program>: unknown flag" or "missing value"
+ * to stderr and returns false — a typoed flag silently ignored would
+ * run a different experiment than the one asked for.
+ */
+bool argsAreKnown(int argc, char **argv, const char *program,
+                  std::initializer_list<const char *> value_flags,
+                  std::initializer_list<const char *> bare_flags = {});
+
+/**
+ * Command-line gate of the figure and ablation benches, which take
+ * `--workers N` and `--csv PATH` and nothing else: on any other
+ * argument, or a flag missing its value, print the error and a usage
+ * line and exit 2, before any work starts.
+ */
+void requireSweepArgs(int argc, char **argv, const char *program);
 
 /**
  * Build the bench's work pool from the command line: a pool with

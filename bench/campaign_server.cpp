@@ -64,65 +64,17 @@ printUsage(std::FILE *out)
         "  --verbose            per-request log lines\n");
 }
 
-bool
-argsAreKnown(int argc, char **argv)
-{
-    static const char *kValueFlags[] = {
-        "--port",        "--workers",
-        "--executors",   "--queue",
-        "--deadline-ms", "--max-deadline-ms",
-        "--frame-timeout-ms", "--checkpoint-dir"};
-    static const char *kBareFlags[] = {"--verbose", "--worker"};
-    for (int i = 1; i < argc; ++i) {
-        bool known = false;
-        for (const char *flag : kValueFlags) {
-            if (std::strcmp(argv[i], flag) == 0) {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "campaign_server: missing value for "
-                                 "%s\n",
-                                 flag);
-                    return false;
-                }
-                ++i;
-                known = true;
-                break;
-            }
-        }
-        for (const char *flag : kBareFlags) {
-            if (!known && std::strcmp(argv[i], flag) == 0) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            std::fprintf(stderr,
-                         "campaign_server: unknown flag '%s'\n",
-                         argv[i]);
-            return false;
-        }
-    }
-    return true;
-}
-
-const char *
-parseStringFlag(int argc, char **argv, const char *flag,
-                const char *fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return fallback;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (!argsAreKnown(argc, argv)) {
+    if (!bench::argsAreKnown(
+            argc, argv, "campaign_server",
+            {"--port", "--workers", "--executors", "--queue",
+             "--deadline-ms", "--max-deadline-ms", "--frame-timeout-ms",
+             "--checkpoint-dir"},
+            {"--verbose", "--worker"})) {
         printUsage(stderr);
         return 2;
     }
@@ -145,7 +97,7 @@ main(int argc, char **argv)
             bench::parseLongFlag(argc, argv, "--frame-timeout-ms",
                                  5000));
         config.checkpoint_dir =
-            parseStringFlag(argc, argv, "--checkpoint-dir", "");
+            bench::parseStringFlag(argc, argv, "--checkpoint-dir", "");
     } catch (const util::FatalError &error) {
         std::fprintf(stderr, "campaign_server: %s\n", error.what());
         printUsage(stderr);

@@ -67,6 +67,7 @@ meanCrossingHours(const core::ExperimentResult &result, bool burn_value,
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "fig6_experiment1_lab");
     std::printf("=== Figure 6: Experiment 1 (lab, new ZCU102, 60 C "
                 "oven) ===\n\n");
     core::Experiment1Config config;

@@ -24,6 +24,7 @@ using namespace pentimento;
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "fig7_experiment2_cloud");
     std::printf("=== Figure 7: Experiment 2 (cloud, aged F1 card, "
                 "Threat Model 1) ===\n\n");
     core::Experiment2Config config;

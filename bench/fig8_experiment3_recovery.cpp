@@ -27,6 +27,7 @@ using namespace pentimento;
 int
 main(int argc, char **argv)
 {
+    bench::requireSweepArgs(argc, argv, "fig8_experiment3_recovery");
     std::printf("=== Figure 8: Experiment 3 (cloud, Threat Model 2 "
                 "recovery) ===\n\n");
     core::Experiment3Config config;

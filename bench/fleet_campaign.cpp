@@ -147,66 +147,6 @@ printUsage(std::FILE *out)
         kDefaultCheckpointPath);
 }
 
-/**
- * Whitelist scan: every argument must be a known flag, with its value
- * present when one is required. Anything else is a usage error — a
- * typoed scaling flag silently ignored would misattribute numbers.
- */
-bool
-argsAreKnown(int argc, char **argv)
-{
-    static const char *kValueFlags[] = {
-        "--fleet",   "--years", "--seed",
-        "--workers", "--csv",   "--checkpoint-every",
-        "--checkpoint-path",    "--halt-at-day",
-        "--day-sleep-ms",       "--shards",
-        "--worker-binary",      "--fault-schedule",
-        "--bram-scrub"};
-    static const char *kBareFlags[] = {"--journal-stress", "--resume",
-                                       "--bram"};
-    for (int i = 1; i < argc; ++i) {
-        bool known = false;
-        for (const char *flag : kValueFlags) {
-            if (std::strcmp(argv[i], flag) == 0) {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "fleet_campaign: missing value for "
-                                 "%s\n",
-                                 flag);
-                    return false;
-                }
-                ++i;
-                known = true;
-                break;
-            }
-        }
-        for (const char *flag : kBareFlags) {
-            if (!known && std::strcmp(argv[i], flag) == 0) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            std::fprintf(stderr, "fleet_campaign: unknown flag '%s'\n",
-                         argv[i]);
-            return false;
-        }
-    }
-    return true;
-}
-
-const char *
-parseStringFlag(int argc, char **argv, const char *flag,
-                const char *fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return fallback;
-}
-
 // ------------------------------------------------------------ report
 
 /**
@@ -298,7 +238,13 @@ printSummary(const serve::FleetScanResult &result, std::size_t fleet,
 int
 main(int argc, char **argv)
 {
-    if (!argsAreKnown(argc, argv)) {
+    if (!bench::argsAreKnown(
+            argc, argv, "fleet_campaign",
+            {"--fleet", "--years", "--seed", "--workers", "--csv",
+             "--checkpoint-every", "--checkpoint-path", "--halt-at-day",
+             "--day-sleep-ms", "--shards", "--worker-binary",
+             "--fault-schedule", "--bram-scrub"},
+            {"--journal-stress", "--resume", "--bram"})) {
         printUsage(stderr);
         return 2;
     }
@@ -332,7 +278,7 @@ main(int argc, char **argv)
         shards = bench::parseLongFlag(argc, argv, "--shards", 0, 0,
                                       serve::kMaxShards);
         lanes = bench::parseWorkers(argc, argv);
-        checkpoint_path = parseStringFlag(
+        checkpoint_path = bench::parseStringFlag(
             argc, argv, "--checkpoint-path", kDefaultCheckpointPath);
     } catch (const util::FatalError &error) {
         std::fprintf(stderr, "fleet_campaign: %s\n", error.what());
@@ -359,7 +305,7 @@ main(int argc, char **argv)
     }
     const bool bram = bench::hasFlag(argc, argv, "--bram");
     const std::string bram_scrub_name =
-        parseStringFlag(argc, argv, "--bram-scrub", "none");
+        bench::parseStringFlag(argc, argv, "--bram-scrub", "none");
     cloud::BramScrubPolicy bram_scrub = cloud::BramScrubPolicy::None;
     if (bram_scrub_name == "release") {
         bram_scrub = cloud::BramScrubPolicy::ZeroOnRelease;
@@ -385,7 +331,7 @@ main(int argc, char **argv)
         return 2;
     }
     const char *fault_schedule =
-        parseStringFlag(argc, argv, "--fault-schedule", "");
+        bench::parseStringFlag(argc, argv, "--fault-schedule", "");
     if (fault_schedule[0] != '\0') {
         // Through the environment so spawned shard workers inherit
         // the same schedule (each point draws from its own stream, so
@@ -407,7 +353,7 @@ main(int argc, char **argv)
     // ---- sharded: supervisor over campaign_server workers ---------
     if (shards > 0) {
         std::string worker_binary =
-            parseStringFlag(argc, argv, "--worker-binary", "");
+            bench::parseStringFlag(argc, argv, "--worker-binary", "");
         if (worker_binary.empty()) {
             const std::string self = argv[0];
             const std::size_t slash = self.rfind('/');

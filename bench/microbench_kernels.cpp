@@ -42,6 +42,24 @@ BM_BtiStressStep(benchmark::State &state)
 BENCHMARK(BM_BtiStressStep);
 
 void
+BM_BtiCollapse(benchmark::State &state)
+{
+    // One recovery then one re-stress: the stress step collapses the
+    // recovered shift back into stress hours (one deltaVth with its
+    // recovery term, then the inverse power law), the path every
+    // tenancy change takes on a previously stressed element.
+    const phys::BtiParams params = phys::BtiParams::ultrascalePlus();
+    phys::BtiState bti;
+    bti.applyStress(params.nbti, 1.0, 100.0);
+    for (auto _ : state) {
+        bti.applyRecovery(params.nbti, 1.0);
+        bti.applyStress(params.nbti, 1.0, 0.5);
+        benchmark::DoNotOptimize(bti.stressHours());
+    }
+}
+BENCHMARK(BM_BtiCollapse);
+
+void
 BM_ElementAgingHold(benchmark::State &state)
 {
     const phys::BtiParams params = phys::BtiParams::ultrascalePlus();
@@ -99,6 +117,26 @@ BM_TdcFullMeasurement(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TdcFullMeasurement);
+
+void
+BM_TdcFastTrace(benchmark::State &state)
+{
+    // The TM2 scan's sampler: one calibrated 2000 ps sensor with fast
+    // sampling, one measure() (10 traces per polarity of 24 ziggurat
+    // samples each) per iteration. The arrival caches stay warm, so
+    // this times trace sampling alone, not the arrival walk.
+    fabric::Device device{fabric::DeviceConfig{}};
+    tdc::TdcConfig config;
+    config.fast_sampling = true;
+    tdc::Tdc sensor(device, device.allocateRoute("r", 2000.0),
+                    device.allocateCarryChain("c", config.taps), config);
+    util::Rng rng(1);
+    sensor.calibrate(333.15, rng);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sensor.measure(333.15, rng));
+    }
+}
+BENCHMARK(BM_TdcFastTrace);
 
 void
 BM_DeviceAdvanceHour(benchmark::State &state)

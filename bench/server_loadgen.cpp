@@ -56,41 +56,6 @@ printUsage(std::FILE *out)
         "(default 0)\n");
 }
 
-bool
-argsAreKnown(int argc, char **argv)
-{
-    static const char *kValueFlags[] = {
-        "--port",      "--clients",
-        "--requests",  "--adversarial-every",
-        "--scan-days", "--scan-id",
-        "--scan-seed", "--scan-throttle-ms",
-        "--scan-checkpoint-every"};
-    for (int i = 1; i < argc; ++i) {
-        bool known = false;
-        for (const char *flag : kValueFlags) {
-            if (std::strcmp(argv[i], flag) == 0) {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr,
-                                 "server_loadgen: missing value for "
-                                 "%s\n",
-                                 flag);
-                    return false;
-                }
-                ++i;
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            std::fprintf(stderr,
-                         "server_loadgen: unknown flag '%s'\n",
-                         argv[i]);
-            return false;
-        }
-    }
-    return true;
-}
-
 /** One adversarial connection from the rotating corpus. */
 void
 attackOnce(std::uint16_t port, unsigned variant,
@@ -199,7 +164,11 @@ runScanMode(std::uint16_t port, long days, long id, long seed,
 int
 main(int argc, char **argv)
 {
-    if (!argsAreKnown(argc, argv)) {
+    if (!bench::argsAreKnown(
+            argc, argv, "server_loadgen",
+            {"--port", "--clients", "--requests", "--adversarial-every",
+             "--scan-days", "--scan-id", "--scan-seed",
+             "--scan-throttle-ms", "--scan-checkpoint-every"})) {
         printUsage(stderr);
         return 2;
     }

@@ -48,7 +48,7 @@ inline constexpr std::uint64_t kDvthNeverCached = ~0ULL;
  * deltaVth is a pure function of the element's aging state — it never
  * depends on temperature or polarity — so it is constant between
  * state-epoch bumps. Caching both transistors' shifts per element
- * collapses the two pow() calls of BtiState::deltaVthStressed to once
+ * collapses the pow() call of BtiState::deltaVthStressed to once
  * per (element, epoch) instead of once per arrival recompute: a TDC
  * probing 10 temperatures at one device state pays the power law once.
  */

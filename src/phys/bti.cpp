@@ -30,13 +30,11 @@ BtiParams::ultrascalePlus()
     p.nbti.prefactor_v = 1.42e-4;
     p.nbti.time_exponent = 0.25;
     p.nbti.recovery_tau_h = 120.0;
-    p.nbti.recovery_beta = 1.0;
     p.nbti.permanent_fraction = 0.84;
 
     p.pbti.prefactor_v = 1.18e-4;
     p.pbti.time_exponent = 0.25;
     p.pbti.recovery_tau_h = 40.0;
-    p.pbti.recovery_beta = 1.0;
     p.pbti.permanent_fraction = 0.60;
 
     p.stress_activation_ev = 0.8;
@@ -132,9 +130,8 @@ BtiState::deltaVthStressed(const MechanismParams &p, double scale) const
     if (recovery_eff_h_ <= 0.0) {
         return raw;
     }
-    const double rec =
-        std::pow(recovery_eff_h_ / p.recovery_tau_h, p.recovery_beta);
-    const double recoverable = (1.0 - p.permanent_fraction) / (1.0 + rec);
+    const double recoverable = (1.0 - p.permanent_fraction) /
+                               (1.0 + recovery_eff_h_ / p.recovery_tau_h);
     return raw * (p.permanent_fraction + recoverable);
 }
 

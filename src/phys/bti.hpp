@@ -22,12 +22,13 @@
  * The model keeps, per transistor, an *effective stress time* and an
  * *effective recovery time*. ΔVth is
  *
- *     dVth = scale * A * s^n * (P + (1 - P) / (1 + (r / tau)^beta))
+ *     dVth = scale * A * s^n * (P + (1 - P) / (1 + r / tau))
  *
  * with s the effective stress hours, r the effective recovery hours
- * since stress last ended, P a small permanent fraction, and `scale` a
+ * since stress last ended, P the permanent fraction, and `scale` a
  * per-element multiplier combining process variation and device-age
- * derating. Re-stressing collapses the recovered state back into an
+ * derating. The recoverable part halves after tau effective recovery
+ * hours. Re-stressing collapses the recovered state back into an
  * equivalent stress time, so stress/recover cycles compose sensibly.
  *
  * Calibration note: prefactors are fitted so a fresh device at 60 °C
@@ -95,8 +96,6 @@ struct MechanismParams
     double time_exponent = 0.17;
     /** Recovery half-life style constant tau (effective hours). */
     double recovery_tau_h = 50.0;
-    /** Recovery stretch exponent beta. */
-    double recovery_beta = 1.0;
     /** Fraction of the shift that never recovers. */
     double permanent_fraction = 0.05;
 };

@@ -356,13 +356,15 @@ Tdc::fastTraceMeanHamming(const std::vector<double> &arrivals,
         // taps are metastable, so the first two draws run as a
         // fixed-trip masked loop — a draw is consumed even when the
         // aperture holds one tap, keeping the trip count (and the
-        // branch pattern) constant. Wider-than-pitch apertures spill
-        // into the generic tail loop.
+        // branch pattern) constant. The mask is a bitwise AND of the
+        // two comparisons: `&&` would compile to a branch on the
+        // coin flip. Wider-than-pitch apertures spill into the
+        // generic tail loop.
         for (std::size_t k = 0; k < 2; ++k) {
             const std::size_t idx = fu + k;
             const std::size_t safe = idx < taps ? idx : taps - 1;
             const double p = (theta_eff - arrivals[safe]) * inv_w + 0.5;
-            passed += (rng.uniform() < p && idx < fm) ? 1u : 0u;
+            passed += (rng.uniform() < p) & (idx < fm);
         }
         for (std::size_t i = fu + 2; i < fm; ++i) {
             const double p = (theta_eff - arrivals[i]) * inv_w + 0.5;

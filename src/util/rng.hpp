@@ -13,6 +13,7 @@
 #ifndef PENTIMENTO_UTIL_RNG_HPP
 #define PENTIMENTO_UTIL_RNG_HPP
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -180,11 +181,17 @@ class Rng
             // (bits 11-63), layer index (bits 0-7), sign (bit 8).
             const std::uint64_t j = bits >> 11;
             const unsigned idx = static_cast<unsigned>(bits & 255u);
-            const double sign = (bits & 256u) != 0 ? -1.0 : 1.0;
             if (j < z.kn[idx]) {
-                // Fully inside the layer: accept with no float test.
-                return sign * (static_cast<double>(j) * z.wn[idx]);
+                // Fully inside the layer: accept with no float test,
+                // moving the sign bit (bit 8) onto the IEEE sign bit
+                // (bit 63). Bit-identical to multiplying by ±1.0,
+                // zero included, without a 50/50 branch.
+                const double x = static_cast<double>(j) * z.wn[idx];
+                return std::bit_cast<double>(
+                    std::bit_cast<std::uint64_t>(x) ^
+                    ((bits & 256u) << 55));
             }
+            const double sign = (bits & 256u) != 0 ? -1.0 : 1.0;
             if (idx == 0) {
                 // Tail beyond r: Marsaglia's exponential wedge. The
                 // 1 - uniform() keeps log()'s argument in (0, 1].

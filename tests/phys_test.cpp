@@ -207,6 +207,47 @@ TEST(BtiState, RestressCollapsesRecoveredState)
     EXPECT_DOUBLE_EQ(state.recoveryHours(), 0.0);
 }
 
+TEST(BtiState, StressRecoverRestressRecordedValues)
+{
+    // Recorded bits of one stress -> recover -> re-stress -> recover
+    // cycle per mechanism, at a non-unit scale. The collapse turns the
+    // recovered shift back into stress hours, so stressHours() after
+    // it pins the recovery term and the inverse power law together.
+    struct Row
+    {
+        double stressed;
+        double recovered;
+        double collapsed_hours;
+        double restressed;
+        double rerecovered;
+    };
+    const pp::BtiParams p = params();
+    const pp::MechanismParams *mechanisms[] = {&p.nbti, &p.pbti};
+    const Row recorded[] = {
+        {0x1.da2f198b50f0ep-12, 0x1.c08b9bccce275p-12,
+         0x1.e85a456a8be1bp+6, 0x1.cc4c6c8dfab31p-12,
+         0x1.97b1677670557p-12},
+        {0x1.8a0a4b4fb6a41p-12, 0x1.2ab134a9c720bp-12,
+         0x1.cb2ef903017c7p+5, 0x1.3cbad4b690682p-12,
+         0x1.99e2b8ec42689p-13},
+    };
+    const double scale = 0.93;
+    for (int k = 0; k < 2; ++k) {
+        const pp::MechanismParams &m = *mechanisms[k];
+        const Row &want = recorded[k];
+        pp::BtiState state;
+        state.applyStress(m, scale, 137.5);
+        EXPECT_EQ(state.deltaVth(m, scale), want.stressed) << k;
+        state.applyRecovery(m, 61.25);
+        EXPECT_EQ(state.deltaVth(m, scale), want.recovered) << k;
+        state.applyStress(m, scale, 12.0);
+        EXPECT_EQ(state.stressHours(), want.collapsed_hours) << k;
+        EXPECT_EQ(state.deltaVth(m, scale), want.restressed) << k;
+        state.applyRecovery(m, 300.0);
+        EXPECT_EQ(state.deltaVth(m, scale), want.rerecovered) << k;
+    }
+}
+
 TEST(BtiState, ScaleMultipliesShift)
 {
     pp::BtiState a, b;

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "fabric/device.hpp"
 #include "fabric/drc.hpp"
@@ -571,6 +573,90 @@ TEST(FastSampling, CalibratesToSameThetaNeighbourhood)
         EXPECT_NEAR(fast_theta, exact_theta, 4.0 * 2.8)
             << "seed " << seed;
     }
+}
+
+namespace {
+
+/** Recorded rising/falling distances of one fast-sampling measure(). */
+struct RecordedMeasurement
+{
+    double rising_ps;
+    double falling_ps;
+};
+
+/**
+ * Calibrate a fast-sampling 2000 ps sensor, then measure it pristine,
+ * after a 200 h burn-1 and twice after a 30 h recovery, comparing
+ * every value bit for bit. The burn and recovery put BTI shifts, and
+ * the recovery term, into the arrival walk the sampler reads.
+ */
+void
+expectRecordedFastMeasurements(
+    double window_ps, double theta_init,
+    const RecordedMeasurement (&recorded)[4])
+{
+    pt::TdcConfig config;
+    config.fast_sampling = true;
+    config.metastable_window_ps = window_ps;
+    Bench bench(2000.0, config);
+    EXPECT_EQ(bench.sensor.calibrate(333.15, bench.rng), theta_init);
+    const auto expectMeasure = [&](int k) {
+        const pt::Measurement m = bench.sensor.measure(333.15, bench.rng);
+        EXPECT_EQ(m.rising_distance_ps, recorded[k].rising_ps) << k;
+        EXPECT_EQ(m.falling_distance_ps, recorded[k].falling_ps) << k;
+    };
+    expectMeasure(0);
+    auto design = std::make_shared<pf::Design>("burn");
+    design->setRouteValue(bench.route, true);
+    bench.device.loadDesign(design);
+    pp::OvenEnvironment oven(333.15);
+    bench.device.advance(200.0, oven);
+    expectMeasure(1);
+    bench.device.wipe();
+    bench.device.advance(30.0, oven);
+    expectMeasure(2);
+    expectMeasure(3);
+}
+
+} // namespace
+
+TEST(FastSampling, MeasureRecordedValues)
+{
+    // Default geometry: the 4 ps aperture never holds more than two
+    // taps, so only the fixed-trip pair of aperture draws runs.
+    const RecordedMeasurement recorded[4] = {
+        {0x1.61bbbbbbbbbbcp+6, 0x1.5d4ccccccccccp+6},
+        {0x1.624b17e4b17e4p+6, 0x1.5581b4e81b4e8p+6},
+        {0x1.609d0369d036ap+6, 0x1.56947ae147ae1p+6},
+        {0x1.613851eb851ebp+6, 0x1.561d0369d036ap+6},
+    };
+    expectRecordedFastMeasurements(4.0, 0x1.056633999999ap+11, recorded);
+}
+
+TEST(FastSampling, WideApertureMeasureRecordedValues)
+{
+    // A 6 ps aperture spans more than two tap pitches, so some samples
+    // see three metastable taps and run the generic tail loop past
+    // the fixed-trip pair.
+    {
+        pt::TdcConfig config;
+        config.metastable_window_ps = 6.0;
+        Bench bench(2000.0, config);
+        const std::vector<double> &arrivals =
+            bench.sensor.arrivals(pp::Transition::Rising, 333.15);
+        double narrowest = arrivals.back() - arrivals.front();
+        for (std::size_t i = 0; i + 2 < arrivals.size(); ++i) {
+            narrowest = std::min(narrowest, arrivals[i + 2] - arrivals[i]);
+        }
+        ASSERT_LT(narrowest, config.metastable_window_ps);
+    }
+    const RecordedMeasurement recorded[4] = {
+        {0x1.5e5f92c5f92c6p+6, 0x1.59cccccccccccp+6},
+        {0x1.5ep+6, 0x1.52258bf258bf2p+6},
+        {0x1.5d88888888888p+6, 0x1.543f258bf258cp+6},
+        {0x1.5e2fc962fc962p+6, 0x1.526147ae147adp+6},
+    };
+    expectRecordedFastMeasurements(6.0, 0x1.054807999999ap+11, recorded);
 }
 
 // -------------------------------------------------------MeasureDesign
