@@ -63,9 +63,13 @@ void
 BM_ElementAgingHold(benchmark::State &state)
 {
     const phys::BtiParams params = phys::BtiParams::ultrascalePlus();
+    // One hour at 60 °C: the effective hours a one-segment replay
+    // passes (duration x the segment's Arrhenius acceleration).
+    const phys::AgingStepContext ctx(params, 333.15);
     phys::ElementAging aging;
     for (auto _ : state) {
-        aging.holdStatic(params, true, 333.15, 1.0);
+        aging.holdStaticEffective(params, true, ctx.stress_accel,
+                                  ctx.recovery_accel);
         benchmark::DoNotOptimize(
             aging.deltaVth(params, phys::TransistorType::Nmos));
     }

@@ -59,8 +59,11 @@ AmbientModel::hoursUntilBoundary() const
 void
 AmbientModel::advance(double dt_h)
 {
-    if (!(dt_h >= 0.0)) {
-        util::fatal("AmbientModel::advance: negative time step");
+    // The one guard for both entry points (step() forwards here). An
+    // infinite clock would reach the event count's integer cast.
+    if (!(dt_h >= 0.0) || !std::isfinite(dt_h)) {
+        util::fatal("AmbientModel::advance: time step must be finite "
+                    "and non-negative");
     }
     clock_h_.add(dt_h);
 }
@@ -89,9 +92,6 @@ AmbientModel::ambientK()
 double
 AmbientModel::step(double dt_h)
 {
-    if (!(dt_h >= 0.0)) {
-        util::fatal("AmbientModel::step: negative time step");
-    }
     advance(dt_h);
     return ambientK();
 }

@@ -6,7 +6,7 @@
  * variation sampling plus a slab insert per element, then a timeline
  * replay per activity flip — is the dominant cost of tenancy turnover
  * in fleet-scale campaigns, even though most configured elements are
- * never measured. The journal removes the AgingStore from the
+ * never measured. The journal takes the element slab off the
  * load/wipe path entirely: a design load or wipe appends one
  * (timeline-position, activity) *run* per key whose activity actually
  * flips, in O(1) per key, and the element is materialised only at
@@ -17,7 +17,7 @@
  * used at each flip, so aged delays are bit-identical — laziness is
  * unobservable except through materializedCount()-class diagnostics.
  *
- * Layout: a flat open-addressing key table (the AgingStore index
+ * Layout: a flat open-addressing key table (the ElementSlab index
  * idiom — keys are never erased, linear probing, no tombstones) of
  * 16-byte {key, history id} slots. A history is a node in one
  * interned pool per journal: (from, activity, parent) plus the run
@@ -219,7 +219,7 @@ class ActivityJournal
     static std::uint64_t
     hashKey(std::uint64_t key)
     {
-        // splitmix64 finaliser, as in the AgingStore index.
+        // splitmix64 finaliser, as in the ElementSlab index.
         key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
         key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
         return key ^ (key >> 31);

@@ -13,6 +13,18 @@ namespace {
 
 constexpr ElementActivity kUnusedActivity{};
 
+/** Shared guard of every entry point that ages the fabric by a span
+ *  of hours. An infinite span would give every element replayed over
+ *  it an infinite delay, so only finite, non-negative hours pass. */
+void
+requireSpanHours(double hours, const char *who)
+{
+    if (!(hours >= 0.0) || !std::isfinite(hours)) {
+        util::fatal(std::string(who) +
+                    ": hours must be finite and non-negative");
+    }
+}
+
 } // namespace
 
 Device::Device(DeviceConfig config)
@@ -150,7 +162,7 @@ Device::applyBramConfiguration()
 ElementHandle
 Device::bindElement(ResourceId id)
 {
-    const ElementHandle h = store_.ensure(
+    const ElementHandle h = slab_.ensure(
         id, [this](ResourceId rid) { return makeElement(rid); });
     if (h >= synced_.size()) {
         // Born now: released activity, and skip the pre-birth closed
@@ -160,8 +172,9 @@ Device::bindElement(ResourceId id)
         // avoids the dead loop.) Growth happens only here, in
         // exclusive phases: concurrent syncs touch bound handles,
         // which are always already covered.
-        live_.resize(store_.size());
-        synced_.resize(store_.size(), timeline_.position());
+        live_.resize(slab_.size());
+        synced_.resize(slab_.size(), timeline_.position());
+        growDvthMemo();
         // First observation of a journal-deferred element: replay the
         // activity runs its tenancies recorded, leaving it exactly
         // where eager materialisation would have after the last flip.
@@ -178,14 +191,14 @@ Device::element(ResourceId id)
 {
     const ElementHandle h = bindElement(id);
     syncHandles(&h, 1);
-    return store_.at(h);
+    return slab_.at(h);
 }
 
 const RoutingElement *
 Device::findElement(ResourceId id) const
 {
-    const ElementHandle h = store_.find(id.key());
-    return h == kInvalidElement ? nullptr : &store_.at(h);
+    const ElementHandle h = slab_.find(id.key());
+    return h == kInvalidElement ? nullptr : &slab_.at(h);
 }
 
 void
@@ -200,13 +213,17 @@ Device::replaySpan(RoutingElement &elem,
         // O(elements x segments) — the difference between a
         // fleet-year wipe costing milliseconds and seconds.
         const RunTotals totals = timeline_.runTotals(from, to);
-        elem.ageEffective(config_.bti, activity, totals.stress_eff_h,
-                          totals.recovery_eff_h);
+        elem.age(config_.bti, activity, totals.stress_eff_h,
+                 totals.recovery_eff_h);
     } else {
+        // Short run: one update per segment, each segment's duration
+        // times its own acceleration.
         const auto &closed = timeline_.closed();
         for (std::uint32_t pos = from; pos < to; ++pos) {
-            elem.age(config_.bti, closed[pos].ctx, activity,
-                     closed[pos].duration_h);
+            const AgingSegment &seg = closed[pos];
+            elem.age(config_.bti, activity,
+                     seg.duration_h * seg.ctx.stress_accel,
+                     seg.duration_h * seg.ctx.recovery_accel);
         }
     }
 }
@@ -217,7 +234,7 @@ Device::replayHandle(ElementHandle h)
     const std::uint32_t end = timeline_.position();
     const std::uint32_t pos = synced_[h];
     if (pos != end) {
-        replaySpan(store_.sweepAt(h), live_[h], pos, end);
+        replaySpan(slab_.sweepAt(h), live_[h], pos, end);
         synced_[h] = end;
     }
 }
@@ -232,7 +249,7 @@ Device::replayJournalRuns(ElementHandle h,
     // bit-identical. The final run stays pending: live activity +
     // synced position land exactly where the eager element stood
     // after its last flip, and the next sync picks up the tail.
-    RoutingElement &elem = store_.sweepAt(h);
+    RoutingElement &elem = slab_.sweepAt(h);
     for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
         replaySpan(elem, runs[i].activity, runs[i].from,
                    runs[i + 1].from);
@@ -371,7 +388,7 @@ Device::allocateLutPath(const std::string &name, std::size_t cells)
 std::vector<ResourceId>
 Device::materializedIds() const
 {
-    return store_.sortedIds();
+    return slab_.sortedIds();
 }
 
 std::vector<ResourceId>
@@ -380,7 +397,7 @@ Device::imprintedIds() const
     // Materialised and journal-deferred keys are disjoint by the
     // journal invariant, so a concatenate-and-sort yields the eager
     // materialised set in its canonical (packed-key-sorted) order.
-    std::vector<ResourceId> ids = store_.sortedIds();
+    std::vector<ResourceId> ids = slab_.sortedIds();
     const std::vector<std::uint64_t> deferred = journal_.activeKeys();
     ids.reserve(ids.size() + deferred.size());
     for (const std::uint64_t key : deferred) {
@@ -410,7 +427,7 @@ Device::loadDesign(std::shared_ptr<const Design> design)
     flushExternalTime();
     if (design_ == design && activity_design_ == design &&
         activity_revision_ == design->revision() &&
-        covered_slab_ == store_.size() &&
+        covered_slab_ == slab_.size() &&
         bram_applied_revision_ == design->bramRevision()) {
         // Re-loading the resident, unmutated design: nothing physical
         // changes — no reconfiguration happens, so BRAM contents
@@ -448,68 +465,16 @@ Device::wipe()
     // but the configured elements' activity flips to released: their
     // pending burn time is replayed first, then recovery begins.
     // Journal-deferred elements just get the released run recorded —
-    // the wipe touches no element state at all for them.
-    bool closed = false;
-    const auto closeOnce = [&] {
-        if (!closed) {
-            timeline_.close();
-            closed = true;
-        }
-    };
-    if (configured_ != nullptr) {
-        // Journal flips are recorded at the position the boundary
-        // will have once the segment closes (single probe per key);
-        // the close happens iff anything — journaled or live —
-        // actually flips, as in the eager path.
-        const std::uint32_t flip_pos =
-            timeline_.position() +
-            (timeline_.openPending() ? 1u : 0u);
-        for (const ElementHandle h : configured_->handles) {
-            if (live_[h] == kUnusedActivity) {
-                continue;
-            }
-            closeOnce();
-            replayHandle(h);
-            live_[h] = kUnusedActivity;
-        }
-        // With the slab unchanged since the design was applied, the
-        // cohort split is still exact: no deferred key can have
-        // materialised, so the per-key store probe is skipped.
-        const bool cohorts_exact = configured_->slab == store_.size();
-        for (const std::uint64_t key : configured_->keys) {
-            // A key deferred when the design was applied may have
-            // materialised since (a Route/Tdc bound it mid-tenancy);
-            // it then flips through its live activity like any other
-            // element. (Anticipated-position journal records and
-            // post-close replays may interleave freely: the recorded
-            // position equals the post-close position either way.)
-            const ElementHandle h = cohorts_exact
-                                        ? kInvalidElement
-                                        : store_.findExclusive(key);
-            if (h != kInvalidElement) {
-                if (live_[h] == kUnusedActivity) {
-                    continue;
-                }
-                closeOnce();
-                replayHandle(h);
-                live_[h] = kUnusedActivity;
-            } else if (journal_.recordIfChanged(key, kUnusedActivity,
-                                                flip_pos)) {
-                closeOnce();
-            }
-        }
-    }
-    configured_.reset();
+    // the wipe touches no element state at all for them. This is the
+    // design-replace release path with no incoming design.
     design_.reset();
-    activity_design_.reset();
-    activity_revision_ = 0;
+    applyDesignActivity();
     // BRAM contents survive the wipe — that is this channel's
     // vulnerability — but the applied-configuration tracking clears:
     // any bitstream loaded after a wipe, even the same one, is a real
     // reconfiguration and must zero the blocks.
     bram_applied_design_.clear();
     bram_applied_revision_ = 0;
-    covered_slab_ = store_.size();
     maybeCompactTimeline();
     ++state_epoch_;
 }
@@ -527,7 +492,7 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
     *records_applied = false;
     for (const auto &entry : resolved_designs_) {
         if (entry == nullptr || entry->design != design_ ||
-            entry->slab != store_.size() ||
+            entry->slab != slab_.size() ||
             entry->keyset_revision != design_->keysetRevision()) {
             continue;
         }
@@ -591,7 +556,7 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
             entry->deferred_order.push_back(false);
             continue;
         }
-        const ElementHandle h = store_.findExclusive(key);
+        const ElementHandle h = slab_.findExclusive(key);
         if (h != kInvalidElement) {
             entry->activities.push_back(activity);
             entry->handles.push_back(h);
@@ -619,7 +584,7 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
     }
     // Slab size after resolving: a hit means nothing materialised
     // since, so the cohort split is still accurate.
-    entry->slab = store_.size();
+    entry->slab = slab_.size();
     resolved_designs_[resolved_lru_] = entry;
     resolved_lru_ ^= 1;
     *records_applied = true;
@@ -634,26 +599,30 @@ Device::applyDesignActivity()
     // (so: computed before anything closes); the close itself happens
     // iff anything flipped — the identical condition and boundary the
     // eager path produces, which is what keeps the compensated
-    // duration sums (and so every aged delay) bit-exact.
+    // duration sums (and so every aged delay) bit-exact. With no
+    // design resident (wipe) every configured element is released.
     const std::uint32_t flip_pos =
         timeline_.position() + (timeline_.openPending() ? 1u : 0u);
     std::size_t journal_flips = 0;
     bool records_applied = false;
-    const std::shared_ptr<const ResolvedDesign> resolved =
-        resolveResidentDesign(flip_pos, &journal_flips,
-                              &records_applied);
+    std::shared_ptr<const ResolvedDesign> resolved;
+    if (design_ != nullptr) {
+        resolved = resolveResidentDesign(flip_pos, &journal_flips,
+                                         &records_applied);
+    }
     // Collect the materialised flips so an unchanged (or merely
     // revision-bumped) design never splits a timeline segment. The
     // mark scratch implements "still configured by the new design"
     // without a hash lookup per outgoing handle.
     flip_scratch_.clear();
     ++mark_stamp_;
-    mark_scratch_.resize(store_.size(), 0);
-    for (const ElementHandle h : resolved->handles) {
-        mark_scratch_[h] = mark_stamp_;
+    mark_scratch_.resize(slab_.size(), 0);
+    if (resolved != nullptr) {
+        for (const ElementHandle h : resolved->handles) {
+            mark_scratch_[h] = mark_stamp_;
+        }
     }
     if (configured_ != nullptr) {
-        const auto &incoming = design_->activityMap();
         for (const ElementHandle h : configured_->handles) {
             if (mark_scratch_[h] == mark_stamp_ ||
                 live_[h] == kUnusedActivity) {
@@ -663,20 +632,21 @@ Device::applyDesignActivity()
         }
         // Slab unchanged since apply => the outgoing cohort split is
         // still exact and the per-key store probe can be skipped.
-        const bool cohorts_exact = configured_->slab == store_.size();
+        const bool cohorts_exact = configured_->slab == slab_.size();
         for (const std::uint64_t key : configured_->keys) {
             // Deferred when applied, but possibly materialised since
             // (a mid-tenancy bind consumed its journal runs).
             const ElementHandle h = cohorts_exact
                                         ? kInvalidElement
-                                        : store_.findExclusive(key);
+                                        : slab_.findExclusive(key);
             if (h != kInvalidElement) {
                 if (mark_scratch_[h] == mark_stamp_ ||
                     live_[h] == kUnusedActivity) {
                     continue;
                 }
                 flip_scratch_.emplace_back(h, kUnusedActivity);
-            } else if (incoming.find(key) == incoming.end() &&
+            } else if ((design_ == nullptr ||
+                        !design_->activityMap().contains(key)) &&
                        journal_.recordIfChanged(key, kUnusedActivity,
                                                 flip_pos)) {
                 // Not configured by the new design: released. (Keys
@@ -686,21 +656,23 @@ Device::applyDesignActivity()
             }
         }
     }
-    for (std::size_t i = 0; i < resolved->handles.size(); ++i) {
-        const ElementHandle h = resolved->handles[i];
-        if (!(live_[h] == resolved->activities[i])) {
-            flip_scratch_.emplace_back(h, resolved->activities[i]);
+    if (resolved != nullptr) {
+        for (std::size_t i = 0; i < resolved->handles.size(); ++i) {
+            const ElementHandle h = resolved->handles[i];
+            if (!(live_[h] == resolved->activities[i])) {
+                flip_scratch_.emplace_back(h, resolved->activities[i]);
+            }
         }
-    }
-    if (!records_applied) {
-        // Pure cache hit (the attack-phase measure/park alternation):
-        // the resolution pass didn't run, so journal the deferred
-        // cohort's flips here.
-        for (std::size_t i = 0; i < resolved->keys.size(); ++i) {
-            if (journal_.recordIfChanged(resolved->keys[i],
-                                         resolved->key_activities[i],
-                                         flip_pos)) {
-                ++journal_flips;
+        if (!records_applied) {
+            // Pure cache hit (the attack-phase measure/park
+            // alternation): the resolution pass didn't run, so journal
+            // the deferred cohort's flips here.
+            for (std::size_t i = 0; i < resolved->keys.size(); ++i) {
+                if (journal_.recordIfChanged(resolved->keys[i],
+                                             resolved->key_activities[i],
+                                             flip_pos)) {
+                    ++journal_flips;
+                }
             }
         }
     }
@@ -711,10 +683,10 @@ Device::applyDesignActivity()
             live_[h] = activity;
         }
     }
-    configured_ = resolved;
+    configured_ = std::move(resolved);
     activity_design_ = design_;
-    activity_revision_ = design_->revision();
-    covered_slab_ = store_.size();
+    activity_revision_ = design_ != nullptr ? design_->revision() : 0;
+    covered_slab_ = slab_.size();
 }
 
 void
@@ -725,7 +697,7 @@ Device::syncActivityWithDesign()
     }
     if (activity_design_ == design_ &&
         activity_revision_ == design_->revision() &&
-        covered_slab_ == store_.size()) {
+        covered_slab_ == slab_.size()) {
         return;
     }
     applyDesignActivity();
@@ -765,14 +737,12 @@ Device::maybeCompactTimeline()
 }
 
 void
-Device::sweepElements(std::size_t count,
-                      const std::function<void(std::size_t)> &body)
+Device::growDvthMemo()
 {
-    // Element updates are RNG-free and element-local, so the fan-out
-    // is bit-identical to the serial loop for any worker count. No
-    // design may be loaded concurrently (experiment phases alternate
-    // serially), so the slab is stable for the duration.
-    util::parallelFor(count, body, pool_);
+    while (dvth_.size() * kDvthChunk < slab_.size()) {
+        dvth_.push_back(
+            std::make_unique<std::array<ElementDvth, kDvthChunk>>());
+    }
 }
 
 void
@@ -781,7 +751,7 @@ Device::recordSpan(double dt_h, double die_temp_k, bool credit_elapsed)
     // In-place design mutations since the last call flip their
     // elements' activity *before* the new span accrues.
     syncActivityWithDesign();
-    if (store_.size() != 0 || journal_.activeKeyCount() != 0) {
+    if (slab_.size() != 0 || journal_.activeKeyCount() != 0) {
         timeline_.append(dt_h, ctx_cache_.get(config_.bti, die_temp_k));
         // Long-idle boards (cloud ambient drift opens ~one segment
         // per hour) trim their fully-consumed prefix here; the
@@ -803,9 +773,7 @@ Device::recordSpan(double dt_h, double die_temp_k, bool credit_elapsed)
 void
 Device::advance(double dt_h, phys::ThermalEnvironment &thermal)
 {
-    if (!(dt_h >= 0.0)) {
-        util::fatal("Device::advance: negative time step");
-    }
+    requireSpanHours(dt_h, "Device::advance");
     flushExternalTime();
     const double power = design_ ? design_->powerW() : 0.0;
     recordSpan(dt_h, thermal.step(power, dt_h), true);
@@ -814,9 +782,7 @@ Device::advance(double dt_h, phys::ThermalEnvironment &thermal)
 void
 Device::advanceAt(double dt_h, double die_temp_k)
 {
-    if (!(dt_h >= 0.0)) {
-        util::fatal("Device::advanceAt: negative time step");
-    }
+    requireSpanHours(dt_h, "Device::advanceAt");
     if (!(die_temp_k > 0.0) || !std::isfinite(die_temp_k)) {
         util::fatal("Device::advanceAt: bad die temperature");
     }
@@ -830,9 +796,7 @@ Device::advanceAt(double dt_h, double die_temp_k)
 void
 Device::creditIdleHours(double dt_h)
 {
-    if (!(dt_h >= 0.0)) {
-        util::fatal("Device::creditIdleHours: negative time step");
-    }
+    requireSpanHours(dt_h, "Device::creditIdleHours");
     elapsed_h_.add(dt_h);
     ++state_epoch_;
 }
@@ -840,9 +804,7 @@ Device::creditIdleHours(double dt_h)
 void
 Device::ingestSegment(double dt_h, double die_temp_k)
 {
-    if (!(dt_h >= 0.0)) {
-        util::fatal("Device::ingestSegment: negative time step");
-    }
+    requireSpanHours(dt_h, "Device::ingestSegment");
     if (!(die_temp_k > 0.0) || !std::isfinite(die_temp_k)) {
         util::fatal("Device::ingestSegment: bad die temperature");
     }
@@ -852,9 +814,7 @@ Device::ingestSegment(double dt_h, double die_temp_k)
 void
 Device::applyServiceWear(double hours, double duty_one)
 {
-    if (hours < 0.0) {
-        util::fatal("Device::applyServiceWear: negative hours");
-    }
+    requireSpanHours(hours, "Device::applyServiceWear");
     if (hours == 0.0) {
         return;
     }
@@ -864,15 +824,23 @@ Device::applyServiceWear(double hours, double duty_one)
     // the eager slab would.
     materializeJournal();
     timeline_.close();
-    const phys::AgingStepContext &ctx =
-        ctx_cache_.get(config_.bti, config_.bti.reference_temp_k);
-    const std::size_t count = store_.size();
-    sweepElements(count, [&](std::size_t i) {
-        const auto h = static_cast<ElementHandle>(i);
-        replayHandle(h);
-        store_.sweepAt(h).aging().holdToggling(config_.bti, ctx,
-                                               duty_one, hours);
-    });
+    const double stress_eff_h =
+        hours *
+        ctx_cache_.get(config_.bti, config_.bti.reference_temp_k)
+            .stress_accel;
+    // Element updates are RNG-free and element-local, so the fan-out
+    // is bit-identical to the serial loop for any worker count. No
+    // design may be loaded concurrently (experiment phases alternate
+    // serially), so the slab is stable for the duration.
+    util::parallelFor(
+        slab_.size(),
+        [&](std::size_t i) {
+            const auto h = static_cast<ElementHandle>(i);
+            replayHandle(h);
+            slab_.sweepAt(h).aging().holdTogglingEffective(
+                config_.bti, duty_one, stress_eff_h);
+        },
+        pool_);
     maybeCompactTimeline();
     ++state_epoch_;
 }
@@ -947,12 +915,12 @@ Device::saveState(util::SnapshotWriter &writer) const
 
     // Elements in handle (slab) order, so the handle-indexed live_/
     // synced_ arrays and every restored handle stay aligned.
-    const std::size_t count = store_.size();
+    const std::size_t count = slab_.size();
     util::SnapshotSpan elements = writer.span(8 + count * kElementBytes);
     elements.u64(count);
     for (std::size_t i = 0; i < count; ++i) {
         const auto h = static_cast<ElementHandle>(i);
-        const RoutingElement &elem = store_.sweepAt(h);
+        const RoutingElement &elem = slab_.sweepAt(h);
         elements.u64(elem.id().key());
         elements.f64(elem.basePs(phys::Transition::Rising));
         elements.f64(elem.basePs(phys::Transition::Falling));
@@ -1000,7 +968,7 @@ Device::saveState(util::SnapshotWriter &writer) const
 util::Expected<void>
 Device::restoreState(util::SnapshotReader &reader, bool *had_design)
 {
-    if (store_.size() != 0 || timeline_.position() != 0 ||
+    if (slab_.size() != 0 || timeline_.position() != 0 ||
         timeline_.openValid() || journal_.activeKeyCount() != 0 ||
         bram_.size() != 0 || design_ != nullptr ||
         elapsed_h_.value() != 0.0) {
@@ -1116,7 +1084,7 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
         // multiplies base delays by variation, which is already baked
         // into the saved bases).
         const ResourceId id = ResourceId::fromKey(key);
-        const ElementHandle h = store_.ensure(id, [&](ResourceId rid) {
+        const ElementHandle h = slab_.ensure(id, [&](ResourceId rid) {
             return RoutingElement(rid, base_rise, base_fall,
                                   phys::ElementVariation{}, scale);
         });
@@ -1125,7 +1093,7 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
                         "handle order");
             return reader.status();
         }
-        phys::ElementAging &aging = store_.sweepAt(h).aging();
+        phys::ElementAging &aging = slab_.sweepAt(h).aging();
         aging.state(phys::TransistorType::Nmos)
             .restoreHours(nmos_stress, nmos_recovery);
         aging.state(phys::TransistorType::Pmos)
@@ -1134,6 +1102,7 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
             static_cast<Activity>(live_kind), live_duty});
         synced_.push_back(synced);
     }
+    growDvthMemo();
 
     if (!journal_.restoreState(reader)) {
         return reader.status();
@@ -1142,7 +1111,7 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     // is what keeps bindElement's consume() sound; enforce it rather
     // than trusting two independently-deserialized containers.
     for (const std::uint64_t key : journal_.activeKeys()) {
-        if (store_.findExclusive(key) != kInvalidElement) {
+        if (slab_.findExclusive(key) != kInvalidElement) {
             reader.fail("snapshot: key both journaled and materialised");
             return reader.status();
         }
@@ -1198,7 +1167,7 @@ Device::restoreState(util::SnapshotReader &reader, bool *had_design)
     lut_cursor_ = lut_cursor;
     compact_watermark_ =
         std::max<std::size_t>(kCompactThreshold, compact_watermark);
-    covered_slab_ = store_.size();
+    covered_slab_ = slab_.size();
     if (had_design != nullptr) {
         *had_design = design_was_loaded;
     }

@@ -4,9 +4,11 @@
  *
  * A Device owns the persistent physical state: every materialised
  * element's process variation and BTI aging, held in a dense
- * AgingStore slab. Designs come and go — loadDesign()/wipe() change
- * only the logical configuration — while aging keyed by ResourceId
- * survives, which is exactly the data remanence the paper exploits.
+ * ElementSlab with handle-indexed side arrays beside it (live
+ * activity, synced timeline position, ΔVth memo). Designs come and
+ * go — loadDesign()/wipe() change only the logical configuration —
+ * while aging keyed by ResourceId survives, which is exactly the
+ * data remanence the paper exploits.
  * Element variation is a pure function of (device seed, resource id),
  * so materialisation order never changes behaviour and two rentals of
  * the same board see the same silicon.
@@ -28,12 +30,17 @@
  * costs 200 O(1) appends plus one per-element replay at the first
  * measurement, and any partition of the same span (hourly, random,
  * single jump) produces bit-identical aged delays. Boards that are
- * never observed (idle fleet stock) age for free.
+ * never observed (idle fleet stock) age for free. All replay enters
+ * the element through one mutator, RoutingElement::age with effective
+ * stress/recovery hours: a short run passes each segment's
+ * duration × acceleration, a long run (kReduceRunThreshold) the
+ * run's pre-reduced sums. wipe() is the design-replace release path
+ * with no incoming design.
  *
  * Consumers (Route, Tdc) still resolve ResourceIds to dense element
  * pointers once, at bind time; the monotone *state epoch* (bumped by
  * advance/loadDesign/wipe/applyServiceWear) keys their derived-value
- * caches exactly as before.
+ * caches and the device's ΔVth memo (dvthAt).
  *
  * Tenancy structure (PR 5, activity journal): loadDesign()/wipe()
  * no longer materialise anything. A configured key whose element is
@@ -58,6 +65,7 @@
 #ifndef PENTIMENTO_FABRIC_DEVICE_HPP
 #define PENTIMENTO_FABRIC_DEVICE_HPP
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -66,10 +74,10 @@
 #include <vector>
 
 #include "fabric/activity_journal.hpp"
-#include "fabric/aging_store.hpp"
 #include "fabric/aging_timeline.hpp"
 #include "fabric/bram_block.hpp"
 #include "fabric/design.hpp"
+#include "fabric/element_slab.hpp"
 #include "fabric/resource.hpp"
 #include "fabric/route.hpp"
 #include "fabric/routing_element.hpp"
@@ -137,6 +145,21 @@ struct DeviceConfig
 };
 
 /**
+ * Both transistors' BTI threshold shifts of one element, memoised per
+ * device state epoch (see Device::dvthAt).
+ */
+struct ElementDvth
+{
+    /** State epoch the shifts were computed at; ~0 = never filled
+     *  (the epoch counts up from zero, so ~0 is unreachable). */
+    std::uint64_t epoch = ~0ULL;
+    /** NMOS threshold shift (limits falling transitions), volts. */
+    double nmos_v = 0.0;
+    /** PMOS threshold shift (limits rising transitions), volts. */
+    double pmos_v = 0.0;
+};
+
+/**
  * One physical FPGA: persistent aging plus at most one loaded design.
  */
 class Device
@@ -174,7 +197,7 @@ class Device
 
     /** Number of materialised elements (journal-deferred ones are
      *  configured but not yet materialised, so they don't count). */
-    std::size_t materializedCount() const { return store_.size(); }
+    std::size_t materializedCount() const { return slab_.size(); }
 
     /** Number of configured-but-unmaterialised (journal-deferred)
      *  elements. Always 0 on a device built for the tests' eager
@@ -207,18 +230,32 @@ class Device
     ElementHandle bindElement(ResourceId id);
 
     /** Element behind a bind-time handle. */
-    RoutingElement &elementAt(ElementHandle h) { return store_.at(h); }
+    RoutingElement &elementAt(ElementHandle h) { return slab_.at(h); }
 
     /**
-     * Epoch-keyed ΔVth memo of a bound element (see DvthCacheEntry
-     * and AgingStore::dvthSlot for the fill and concurrency
-     * contracts). Walks check entry.epoch against stateEpoch() and
-     * refill via RoutingElement::deltaVthPair on a miss.
+     * ΔVth of a bound element at the current state epoch — the read
+     * Route and Tdc walks make after syncHandles(). ΔVth is a pure
+     * function of the aging state (never of temperature or polarity),
+     * so it is constant between epoch bumps: the first read of an
+     * epoch evaluates the BTI power law for both transistors and
+     * later reads, at any temperature and either polarity, reuse it.
+     *
+     * Unlocked. Measurement lanes may call it concurrently because
+     * the epoch is constant throughout a measurement phase (reads
+     * never bump it) and lanes own disjoint element sets (each sensor
+     * walks its own route and chain), so no two lanes touch one
+     * entry; binds, which grow the memo, run in exclusive phases.
      */
-    DvthCacheEntry &
-    dvthCacheAt(ElementHandle h)
+    const ElementDvth &
+    dvthAt(ElementHandle h)
     {
-        return store_.dvthSlot(h);
+        ElementDvth &memo = (*dvth_[h / kDvthChunk])[h % kDvthChunk];
+        if (memo.epoch != state_epoch_) {
+            slab_.sweepAt(h).deltaVthPair(config_.bti, memo.nmos_v,
+                                          memo.pmos_v);
+            memo.epoch = state_epoch_;
+        }
+        return memo;
     }
 
     /**
@@ -561,9 +598,9 @@ class Device
     /** Drop fully-consumed closed segments (bounds timeline memory). */
     void maybeCompactTimeline();
 
-    /** Run body(i) over the slab, on the pool when attached. */
-    void sweepElements(std::size_t count,
-                       const std::function<void(std::size_t)> &body);
+    /** Add ΔVth memo chunks until every materialised element has an
+     *  entry. */
+    void growDvthMemo();
 
     DeviceConfig config_;
     /** Eager reference path: materialise every configured element at
@@ -576,7 +613,7 @@ class Device
     std::uint64_t alloc_cursor_ = 0;
     std::uint64_t carry_cursor_ = 0;
     std::uint64_t lut_cursor_ = 0;
-    AgingStore store_;
+    ElementSlab<RoutingElement> slab_;
     /** BRAM content slab — the second element class. Deliberately a
      *  bare ElementSlab: content state needs no ΔVth memo, no journal
      *  (writes are explicit, not per-hour), and no timeline. */
@@ -598,11 +635,19 @@ class Device
     /** Handle-indexed lazy-aging bookkeeping, kept OUT of the element
      *  slab so a RoutingElement stays one cache line on the dense
      *  measurement walks: the activity in effect since the element's
-     *  last sync (constant between syncs — flips flush), and the
-     *  closed timeline segments already folded into its aging. Grown
-     *  only at materialisation points (exclusive phases). */
+     *  last sync (constant between syncs — flips flush), the closed
+     *  timeline segments already folded into its aging, and its ΔVth
+     *  memo (dvthAt). Grown only at materialisation points (exclusive
+     *  phases). */
     std::vector<ElementActivity> live_;
     std::vector<std::uint32_t> synced_;
+    /** The memo grows a whole chunk at a time: a flat vector's
+     *  doubling slack and reallocation copy would add up to two more
+     *  memos' worth of bytes to peak RSS when a fleet-wide coverage
+     *  check materialises every board's deferred elements. */
+    static constexpr std::uint32_t kDvthChunk = 1024;
+    std::vector<std::unique_ptr<std::array<ElementDvth, kDvthChunk>>>
+        dvth_;
     /** Closed-segment count at which compaction first runs. */
     static constexpr std::size_t kCompactThreshold = 64;
     /**

@@ -2,14 +2,14 @@
  * @file
  * Generic chunked-slab element storage with a packed-key index.
  *
- * The slab machinery AgingStore pioneered for RoutingElements — dense
- * handles assigned in materialisation order, never erased or
- * relocated, resolved from a ResourceId exactly once at bind time —
- * is not specific to interconnect aging. Any persistent per-resource
- * state class (BRAM content remanence, future flip-flop or DSP
- * channels) wants the same storage contract, so it lives here as a
- * template and AgingStore becomes a thin wrapper that adds its
- * ΔVth side arrays.
+ * Elements get *dense handles* (slab indices) in materialisation
+ * order and are never erased or relocated, so both handles and
+ * element addresses stay valid for the slab's lifetime. Consumers
+ * resolve a ResourceId to a handle exactly once, at bind time; every
+ * later hot-path access is a flat array read with no hashing and no
+ * lock. The Device keeps one slab of RoutingElements (interconnect
+ * aging, with its handle-indexed side arrays beside it) and one of
+ * BramBlocks (content remanence).
  *
  * Requirements on T: movable, and exposing `ResourceId id() const`
  * (sortedIds() uses it to produce the canonical packed-key listing).
@@ -54,13 +54,6 @@ template <typename T>
 class ElementSlab
 {
   public:
-    /** Elements per chunk; power of two so slot() is shift + mask.
-     *  Public so side arrays (AgingStore's ΔVth memo) can mirror the
-     *  chunk geometry exactly. */
-    static constexpr std::uint32_t kChunkShift = 10;
-    static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-    static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
-
     ElementSlab() = default;
 
     ~ElementSlab()
@@ -74,17 +67,6 @@ class ElementSlab
 
     ElementSlab(const ElementSlab &) = delete;
     ElementSlab &operator=(const ElementSlab &) = delete;
-
-    /**
-     * Hook invoked (under the unique lock) whenever a new chunk is
-     * appended, so owners can grow side arrays in lockstep with the
-     * slab. Install before the first ensure().
-     */
-    void
-    setChunkGrowHook(std::function<void()> hook)
-    {
-        grow_hook_ = std::move(hook);
-    }
 
     /** Number of materialised elements. Lock-free: the count only
      *  grows, and it is published (release) after the element is
@@ -126,9 +108,6 @@ class ElementSlab
         }
         if ((count >> kChunkShift) == chunks_.size()) {
             chunks_.push_back(std::make_unique<Chunk>());
-            if (grow_hook_) {
-                grow_hook_();
-            }
         }
         const ElementHandle h = count;
         new (slot(h)) T(std::move(fresh));
@@ -209,6 +188,11 @@ class ElementSlab
     }
 
   private:
+    /** Elements per chunk; power of two so slot() is shift + mask. */
+    static constexpr std::uint32_t kChunkShift = 10;
+    static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+    static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
+
     struct Chunk
     {
         alignas(T) std::byte raw[sizeof(T) * kChunkSize];
@@ -313,7 +297,6 @@ class ElementSlab
     std::atomic<std::uint32_t> count_ = 0;
     std::vector<IndexSlot> index_;
     std::uint32_t index_used_ = 0;
-    std::function<void()> grow_hook_;
     mutable std::shared_mutex mutex_;
 };
 

@@ -57,18 +57,11 @@ Route::delayPs(phys::Transition t, double temp_k) const
     const auto &cfg = device_->config();
     const double temp_factor = cfg.delay.temperatureFactor(t, temp_k);
     const phys::TransistorType limiter = phys::limitingTransistor(t);
-    // synced_epoch_ is the state epoch as of syncForRead() above; the
-    // ΔVth memo shares the power-law results across polarities,
-    // temperatures and repeated queries at one device state.
-    const std::uint64_t epoch = synced_epoch_;
+    // The device's ΔVth memo shares the power-law results across
+    // polarities, temperatures and repeated queries at one state.
     double total = 0.0;
     for (std::size_t i = 0; i < elements_.size(); ++i) {
-        DvthCacheEntry &memo = device_->dvthCacheAt(handles_[i]);
-        if (memo.epoch != epoch) {
-            elements_[i]->deltaVthPair(cfg.bti, memo.nmos_v,
-                                       memo.pmos_v);
-            memo.epoch = epoch;
-        }
+        const ElementDvth &memo = device_->dvthAt(handles_[i]);
         const double dvth = limiter == phys::TransistorType::Nmos
                                 ? memo.nmos_v
                                 : memo.pmos_v;

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/aging_store.hpp"
+#include "fabric/element_slab.hpp"
 #include "fabric/resource.hpp"
 #include "phys/delay_model.hpp"
 

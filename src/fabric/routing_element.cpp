@@ -33,37 +33,8 @@ RoutingElement::delayPs(const phys::BtiParams &bti,
 
 void
 RoutingElement::age(const phys::BtiParams &bti,
-                    const ElementActivity &activity, double temp_k,
-                    double dt_h)
-{
-    age(bti, phys::AgingStepContext(bti, temp_k), activity, dt_h);
-}
-
-void
-RoutingElement::age(const phys::BtiParams &bti,
-                    const phys::AgingStepContext &ctx,
-                    const ElementActivity &activity, double dt_h)
-{
-    switch (activity.kind) {
-      case Activity::Hold0:
-        aging_.holdStatic(bti, ctx, false, dt_h);
-        break;
-      case Activity::Hold1:
-        aging_.holdStatic(bti, ctx, true, dt_h);
-        break;
-      case Activity::Toggle:
-        aging_.holdToggling(bti, ctx, activity.duty_one, dt_h);
-        break;
-      case Activity::Unused:
-        aging_.release(bti, ctx, dt_h);
-        break;
-    }
-}
-
-void
-RoutingElement::ageEffective(const phys::BtiParams &bti,
-                             const ElementActivity &activity,
-                             double stress_eff_h, double recovery_eff_h)
+                    const ElementActivity &activity, double stress_eff_h,
+                    double recovery_eff_h)
 {
     switch (activity.kind) {
       case Activity::Hold0:

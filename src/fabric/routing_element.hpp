@@ -114,27 +114,15 @@ class RoutingElement
         aging_.deltaVthPair(bti, nmos_v, pmos_v);
     }
 
-    /** Advance aging for dt hours under the given activity. */
+    /**
+     * Age the element under an activity, given effective stress and
+     * recovery hours (duration·accel for one timeline segment, or
+     * Σ duration·accel pre-reduced over a constant-activity run). The
+     * device's replay is the only engine caller; Toggle reads only
+     * the stress hours and Unused only the recovery hours.
+     */
     void age(const phys::BtiParams &bti, const ElementActivity &activity,
-             double temp_k, double dt_h);
-
-    /**
-     * age() with the per-step kinetics context precomputed — the form
-     * the device's dense aging sweep uses.
-     */
-    void age(const phys::BtiParams &bti, const phys::AgingStepContext &ctx,
-             const ElementActivity &activity, double dt_h);
-
-    /**
-     * Apply a whole run of constant-activity segments in one update,
-     * given the run's pre-reduced effective stress/recovery hours
-     * (Σ duration·accel over the run). The segment-timeline replay
-     * uses this for long runs so a flip after months of hourly cloud
-     * segments costs O(1) per element instead of O(segments).
-     */
-    void ageEffective(const phys::BtiParams &bti,
-                      const ElementActivity &activity,
-                      double stress_eff_h, double recovery_eff_h);
+             double stress_eff_h, double recovery_eff_h);
 
     /** Threshold shift of one transistor (volts). */
     double deltaVth(const phys::BtiParams &bti,

@@ -92,10 +92,15 @@ FinnAccelerator::FinnAccelerator(fabric::Device &device,
     std::vector<fabric::RouteSpec> spacers;
     weight_routes_.reserve(bits.size());
     for (std::size_t i = 0; i < bits.size(); ++i) {
-        weight_routes_.push_back(device.allocateRoute(
-            "w" + std::to_string(i / config_.weight_bits) + "[" +
-                std::to_string(i % config_.weight_bits) + "]",
-            config_.route_ps));
+        // Appended piecewise: GCC 12 reports a false -Wrestrict for a
+        // "literal" + std::string temporary here.
+        std::string name = "w";
+        name += std::to_string(i / config_.weight_bits);
+        name += '[';
+        name += std::to_string(i % config_.weight_bits);
+        name += ']';
+        weight_routes_.push_back(
+            device.allocateRoute(name, config_.route_ps));
         spacers.push_back(device.allocateRoute(
             "dp_spacer_" + std::to_string(i),
             device.config().routing_pitch_ps));

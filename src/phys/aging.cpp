@@ -5,72 +5,13 @@
 namespace pentimento::phys {
 
 void
-ElementAging::holdStatic(const BtiParams &p, bool value, double temp_k,
-                         double dt_h)
-{
-    holdStatic(p, AgingStepContext(p, temp_k), value, dt_h);
-}
-
-void
-ElementAging::holdStatic(const BtiParams &p, const AgingStepContext &ctx,
-                         bool value, double dt_h)
-{
-    if (value) {
-        // Logic 1 stresses NMOS pass devices (PBTI); the PMOS side
-        // recovers.
-        nmos_.applyStress(p.pbti, scale_, dt_h * ctx.stress_accel);
-        pmos_.applyRecovery(p.nbti, dt_h * ctx.recovery_accel);
-    } else {
-        pmos_.applyStress(p.nbti, scale_, dt_h * ctx.stress_accel);
-        nmos_.applyRecovery(p.pbti, dt_h * ctx.recovery_accel);
-    }
-}
-
-void
-ElementAging::holdToggling(const BtiParams &p, double duty_one,
-                           double temp_k, double dt_h)
-{
-    holdToggling(p, AgingStepContext(p, temp_k), duty_one, dt_h);
-}
-
-void
-ElementAging::holdToggling(const BtiParams &p,
-                           const AgingStepContext &ctx, double duty_one,
-                           double dt_h)
-{
-    if (duty_one < 0.0 || duty_one > 1.0) {
-        util::fatal("ElementAging::holdToggling: duty outside [0,1]");
-    }
-    // A toggling node spends duty_one of the interval stressing the
-    // NMOS and the rest stressing the PMOS. Interleaved micro-recovery
-    // during the opposite half-cycles is folded into the effective
-    // stress times (AC stress factor).
-    nmos_.applyStress(p.pbti, scale_,
-                      dt_h * ctx.stress_accel * duty_one);
-    pmos_.applyStress(p.nbti, scale_,
-                      dt_h * ctx.stress_accel * (1.0 - duty_one));
-}
-
-void
-ElementAging::release(const BtiParams &p, double temp_k, double dt_h)
-{
-    release(p, AgingStepContext(p, temp_k), dt_h);
-}
-
-void
-ElementAging::release(const BtiParams &p, const AgingStepContext &ctx,
-                      double dt_h)
-{
-    nmos_.applyRecovery(p.pbti, dt_h * ctx.recovery_accel);
-    pmos_.applyRecovery(p.nbti, dt_h * ctx.recovery_accel);
-}
-
-void
 ElementAging::holdStaticEffective(const BtiParams &p, bool value,
                                   double stress_eff_h,
                                   double recovery_eff_h)
 {
     if (value) {
+        // Logic 1 stresses NMOS pass devices (PBTI); the PMOS side
+        // recovers.
         nmos_.applyStress(p.pbti, scale_, stress_eff_h);
         pmos_.applyRecovery(p.nbti, recovery_eff_h);
     } else {
@@ -87,6 +28,10 @@ ElementAging::holdTogglingEffective(const BtiParams &p, double duty_one,
         util::fatal(
             "ElementAging::holdTogglingEffective: duty outside [0,1]");
     }
+    // A toggling node spends duty_one of the interval stressing the
+    // NMOS and the rest stressing the PMOS. Interleaved micro-recovery
+    // during the opposite half-cycles is folded into the effective
+    // stress times (AC stress factor).
     nmos_.applyStress(p.pbti, scale_, stress_eff_h * duty_one);
     pmos_.applyStress(p.nbti, scale_, stress_eff_h * (1.0 - duty_one));
 }

@@ -7,7 +7,9 @@
  * susceptibility scale and exposes the three ways a resource spends
  * simulated time: statically holding a value (the paper's burn-in
  * condition), toggling (Arithmetic Heavy style activity), or released
- * (unconfigured / wiped).
+ * (unconfigured / wiped). Each takes effective stress/recovery hours;
+ * the temperature dependence lives in phys::AgingStepContext, applied
+ * by the caller.
  */
 
 #ifndef PENTIMENTO_PHYS_AGING_HPP
@@ -30,56 +32,32 @@ class ElementAging
     double scale() const { return scale_; }
 
     /**
-     * Hold a static logic value for dt wall-clock hours.
+     * Hold a static logic value. The stressed transistor accrues
+     * stress_eff_h effective stress hours; the complementary one
+     * accrues recovery_eff_h effective recovery hours.
      *
-     * The stressed transistor accrues effective stress time; the
-     * complementary transistor accrues recovery time.
+     * Every mutator takes *effective* hours (wall-clock duration
+     * times the Arrhenius acceleration of phys::AgingStepContext),
+     * so one call applies a single segment (duration·accel) or a
+     * whole pre-reduced run of constant-activity segments
+     * (Σ duration·accel) alike.
      */
-    void holdStatic(const BtiParams &p, bool value, double temp_k,
-                    double dt_h);
+    void holdStaticEffective(const BtiParams &p, bool value,
+                             double stress_eff_h, double recovery_eff_h);
 
     /**
-     * holdStatic with the Arrhenius factors precomputed — the form
-     * aging sweeps use so the exp() calls are paid once per step, not
-     * once per element.
-     */
-    void holdStatic(const BtiParams &p, const AgingStepContext &ctx,
-                    bool value, double dt_h);
-
-    /**
-     * Carry a toggling signal for dt hours.
+     * Carry a toggling signal: the NMOS accrues duty_one of the
+     * effective stress hours and the PMOS the rest.
      *
      * @param duty_one fraction of time the signal is at logic 1
      */
-    void holdToggling(const BtiParams &p, double duty_one, double temp_k,
-                      double dt_h);
-
-    /** holdToggling with the Arrhenius factors precomputed. */
-    void holdToggling(const BtiParams &p, const AgingStepContext &ctx,
-                      double duty_one, double dt_h);
+    void holdTogglingEffective(const BtiParams &p, double duty_one,
+                               double stress_eff_h);
 
     /**
      * Element unconfigured (design wiped / slice left empty): both
      * transistors recover.
      */
-    void release(const BtiParams &p, double temp_k, double dt_h);
-
-    /** release with the Arrhenius factors precomputed. */
-    void release(const BtiParams &p, const AgingStepContext &ctx,
-                 double dt_h);
-
-    /**
-     * Pre-reduced forms: the caller supplies the *effective* stress
-     * and recovery hours already summed over a run of constant-
-     * activity segments (Σ duration·accel), so a run of any length is
-     * one state update. Identical state-machine transitions to the
-     * per-segment forms — the single difference is the association of
-     * the effective-hour sums.
-     */
-    void holdStaticEffective(const BtiParams &p, bool value,
-                             double stress_eff_h, double recovery_eff_h);
-    void holdTogglingEffective(const BtiParams &p, double duty_one,
-                               double stress_eff_h);
     void releaseEffective(const BtiParams &p, double recovery_eff_h);
 
     /** Threshold shift of the chosen transistor, in volts.

@@ -118,12 +118,8 @@ Tdc::fillArrivalCaches(double temp_k) const
     std::size_t k = 0;
     const auto walk = [&](const fabric::RoutingElement *elem,
                           bool is_tap) {
-        fabric::DvthCacheEntry &memo =
-            device_->dvthCacheAt(bound_handles_[k++]);
-        if (memo.epoch != epoch) {
-            elem->deltaVthPair(cfg.bti, memo.nmos_v, memo.pmos_v);
-            memo.epoch = epoch;
-        }
+        const fabric::ElementDvth &memo =
+            device_->dvthAt(bound_handles_[k++]);
         // Rising edges are limited by the PMOS pull-up, falling edges
         // by the NMOS pull-down (phys::limitingTransistor).
         t_rise += elem->delayPsCached(cfg.delay,

@@ -167,13 +167,16 @@ crc32cPortable(const void *data, std::size_t len, std::uint32_t seed)
 
 SnapshotWriter::SnapshotWriter()
 {
-    out_.insert(out_.end(), kMagic, kMagic + sizeof(kMagic));
+    // Magic, version, flags, assembled in a fixed array and copied in
+    // one step: GCC 12 reports a false -Wstringop-overflow for
+    // piecewise inserts into the empty vector.
     const std::uint32_t version = kSnapshotVersion;
     const std::uint32_t flags = 0;
-    const auto *v = reinterpret_cast<const std::uint8_t *>(&version);
-    const auto *f = reinterpret_cast<const std::uint8_t *>(&flags);
-    out_.insert(out_.end(), v, v + 4);
-    out_.insert(out_.end(), f, f + 4);
+    std::uint8_t header[kHeaderBytes];
+    std::memcpy(header, kMagic, sizeof(kMagic));
+    std::memcpy(header + sizeof(kMagic), &version, 4);
+    std::memcpy(header + sizeof(kMagic) + 4, &flags, 4);
+    out_.assign(header, header + kHeaderBytes);
 }
 
 void

@@ -72,6 +72,19 @@ TEST(Ambient, NegativeStepFatal)
     EXPECT_THROW(model.step(-1.0), pu::FatalError);
 }
 
+TEST(Ambient, NonFiniteStepFatal)
+{
+    // An infinite clock would reach the event count's integer cast.
+    pc::AmbientModel model({}, pu::Rng(3));
+    const double before = model.ambientK();
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW(model.step(bad), pu::FatalError);
+        EXPECT_THROW(model.advance(bad), pu::FatalError);
+    }
+    EXPECT_EQ(model.ambientK(), before);
+}
+
 TEST(Ambient, DeterministicPerSeed)
 {
     pc::AmbientModel a({}, pu::Rng(9));

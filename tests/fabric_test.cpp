@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "fabric/aging_store.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "fabric/drc.hpp"
@@ -23,6 +23,9 @@
 #include "phys/thermal.hpp"
 #include "util/logging.hpp"
 
+#include "aging_at.hpp"
+
+namespace pa = pentimento::aging_at;
 namespace pf = pentimento::fabric;
 namespace pp = pentimento::phys;
 namespace pu = pentimento::util;
@@ -137,7 +140,7 @@ TEST(RoutingElement, Hold1SlowsFallingOnly)
                                       pp::Transition::Rising, 333.15);
     const double fall0 = elem.delayPs(cfg.bti, cfg.delay,
                                       pp::Transition::Falling, 333.15);
-    elem.age(cfg.bti, {pf::Activity::Hold1, 0.5}, 333.15, 200.0);
+    pa::age(elem, cfg.bti, {pf::Activity::Hold1, 0.5}, 333.15, 200.0);
     EXPECT_GT(elem.delayPs(cfg.bti, cfg.delay, pp::Transition::Falling,
                            333.15),
               fall0);
@@ -153,7 +156,7 @@ TEST(RoutingElement, Hold0SlowsRisingOnly)
     pf::RoutingElement elem(nodeId(0, 0, 0), 25.0, 25.0, var, 1.0);
     const double rise0 = elem.delayPs(cfg.bti, cfg.delay,
                                       pp::Transition::Rising, 333.15);
-    elem.age(cfg.bti, {pf::Activity::Hold0, 0.5}, 333.15, 200.0);
+    pa::age(elem, cfg.bti, {pf::Activity::Hold0, 0.5}, 333.15, 200.0);
     EXPECT_GT(elem.delayPs(cfg.bti, cfg.delay, pp::Transition::Rising,
                            333.15),
               rise0);
@@ -166,10 +169,10 @@ TEST(RoutingElement, UnusedActivityRecovers)
     const pf::DeviceConfig cfg = smallConfig();
     const pp::ElementVariation var;
     pf::RoutingElement elem(nodeId(0, 0, 0), 25.0, 25.0, var, 1.0);
-    elem.age(cfg.bti, {pf::Activity::Hold1, 0.5}, 333.15, 100.0);
+    pa::age(elem, cfg.bti, {pf::Activity::Hold1, 0.5}, 333.15, 100.0);
     const double before =
         elem.deltaVth(cfg.bti, pp::TransistorType::Nmos);
-    elem.age(cfg.bti, {pf::Activity::Unused, 0.5}, 333.15, 100.0);
+    pa::age(elem, cfg.bti, {pf::Activity::Unused, 0.5}, 333.15, 100.0);
     EXPECT_LT(elem.deltaVth(cfg.bti, pp::TransistorType::Nmos), before);
 }
 
@@ -218,16 +221,16 @@ TEST(Device, FindElementDoesNotMaterialize)
     EXPECT_EQ(device.materializedCount(), 1u);
 }
 
-// -------------------------------------- aging-store index growth
+// ------------------------------------- element-slab index growth
 
-TEST(AgingStoreIndex, GrowthAndRehashBeyondChunkCapacity)
+TEST(ElementSlabIndex, GrowthAndRehashBeyondChunkCapacity)
 {
     // 3000 insertions cross two chunk boundaries (1024 elements per
     // chunk) and several open-addressing rehashes (the index doubles
     // whenever its load factor would exceed 1/2). Handles must stay
     // dense in insertion order, element addresses must never move,
     // and every key must stay findable through all of it.
-    pf::AgingStore store;
+    pf::ElementSlab<pf::RoutingElement> store;
     constexpr std::uint32_t kCount = 3000;
     const pp::ElementVariation variation{};
     const auto make = [&](pf::ResourceId rid) {
@@ -269,6 +272,36 @@ TEST(AgingStoreIndex, GrowthAndRehashBeyondChunkCapacity)
         [](const pf::ResourceId &a, const pf::ResourceId &b) {
             return a.key() < b.key();
         }));
+}
+
+TEST(Device, DvthMemoSurvivesGrowthAtOneEpoch)
+{
+    // The ΔVth memo is handle-indexed and grown at bind time. A route
+    // read fills its entries; binding many more elements then grows
+    // the memo by several chunks. At the unchanged state epoch the
+    // route must read the same delays out of its memo entries.
+    pf::Device device(smallConfig());
+    const pf::Route route =
+        device.bindRoute(device.allocateRoute("r", 500.0));
+    auto design = std::make_shared<pf::Design>("burn");
+    design->setRouteValue(route.spec(), true);
+    device.loadDesign(design);
+    device.advanceAt(100.0, 333.15);
+    const double fall = route.delayPs(pp::Transition::Falling, 333.15);
+    const double rise = route.delayPs(pp::Transition::Rising, 353.15);
+    ASSERT_GT(fall, route.baseDelayPs(pp::Transition::Falling));
+    const std::uint64_t epoch = device.stateEpoch();
+    for (std::uint16_t x = 1; x < 16; ++x) {
+        for (std::uint16_t y = 0; y < 5; ++y) {
+            for (std::uint16_t i = 0; i < 32; ++i) {
+                (void)device.bindElement(nodeId(x, y, i));
+            }
+        }
+    }
+    ASSERT_GT(device.materializedCount(), 2048u);
+    ASSERT_EQ(device.stateEpoch(), epoch);
+    EXPECT_EQ(route.delayPs(pp::Transition::Falling, 333.15), fall);
+    EXPECT_EQ(route.delayPs(pp::Transition::Rising, 353.15), rise);
 }
 
 TEST(Device, AllocateRouteElementCount)
@@ -599,6 +632,25 @@ TEST(DeviceLifecycle, AdvanceAccumulatesElapsedHours)
     device.advance(1.5, oven);
     EXPECT_DOUBLE_EQ(device.elapsedHours(), 4.0);
     EXPECT_THROW(device.advance(-1.0, oven), pu::FatalError);
+}
+
+TEST(DeviceLifecycle, NonFiniteSpansAreFatal)
+{
+    // An infinite span would give every element replayed over it an
+    // infinite delay; each span producer, and service wear, must
+    // refuse it (and NaN).
+    pf::Device device(smallConfig());
+    pp::OvenEnvironment oven(333.15);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {inf, nan}) {
+        EXPECT_THROW(device.advance(bad, oven), pu::FatalError);
+        EXPECT_THROW(device.advanceAt(bad, 333.15), pu::FatalError);
+        EXPECT_THROW(device.ingestSegment(bad, 333.15), pu::FatalError);
+        EXPECT_THROW(device.creditIdleHours(bad), pu::FatalError);
+        EXPECT_THROW(device.applyServiceWear(bad), pu::FatalError);
+    }
+    EXPECT_EQ(device.elapsedHours(), 0.0);
 }
 
 TEST(DeviceLifecycle, BurnPolarityVisibleInRouteDelays)

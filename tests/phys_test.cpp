@@ -16,6 +16,9 @@
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
+#include "aging_at.hpp"
+
+namespace pa = pentimento::aging_at;
 namespace pp = pentimento::phys;
 namespace pu = pentimento::util;
 
@@ -312,7 +315,7 @@ INSTANTIATE_TEST_SUITE_P(BothMechanisms, MechanismSweep,
 TEST(ElementAging, Hold1StressesNmosOnly)
 {
     pp::ElementAging aging;
-    aging.holdStatic(params(), true, 333.15, 100.0);
+    pa::holdStatic(aging, params(), true, 333.15, 100.0);
     EXPECT_GT(aging.deltaVth(params(), pp::TransistorType::Nmos), 0.0);
     EXPECT_DOUBLE_EQ(aging.deltaVth(params(), pp::TransistorType::Pmos),
                      0.0);
@@ -321,7 +324,7 @@ TEST(ElementAging, Hold1StressesNmosOnly)
 TEST(ElementAging, Hold0StressesPmosOnly)
 {
     pp::ElementAging aging;
-    aging.holdStatic(params(), false, 333.15, 100.0);
+    pa::holdStatic(aging, params(), false, 333.15, 100.0);
     EXPECT_GT(aging.deltaVth(params(), pp::TransistorType::Pmos), 0.0);
     EXPECT_DOUBLE_EQ(aging.deltaVth(params(), pp::TransistorType::Nmos),
                      0.0);
@@ -330,7 +333,7 @@ TEST(ElementAging, Hold0StressesPmosOnly)
 TEST(ElementAging, ToggleStressesBothByDuty)
 {
     pp::ElementAging aging;
-    aging.holdToggling(params(), 0.5, 333.15, 100.0);
+    pa::holdToggling(aging, params(), 0.5, 333.15, 100.0);
     const double nmos =
         aging.deltaVth(params(), pp::TransistorType::Nmos);
     const double pmos =
@@ -344,8 +347,8 @@ TEST(ElementAging, ToggleStressesBothByDuty)
 TEST(ElementAging, ToggleDutyExtremesMatchStatic)
 {
     pp::ElementAging toggled, held;
-    toggled.holdToggling(params(), 1.0, 333.15, 80.0);
-    held.holdStatic(params(), true, 333.15, 80.0);
+    pa::holdToggling(toggled, params(), 1.0, 333.15, 80.0);
+    pa::holdStatic(held, params(), true, 333.15, 80.0);
     EXPECT_NEAR(toggled.deltaVth(params(), pp::TransistorType::Nmos),
                 held.deltaVth(params(), pp::TransistorType::Nmos),
                 1e-12);
@@ -354,13 +357,13 @@ TEST(ElementAging, ToggleDutyExtremesMatchStatic)
 TEST(ElementAging, ReleaseRecoversBoth)
 {
     pp::ElementAging aging;
-    aging.holdStatic(params(), true, 333.15, 100.0);
-    aging.holdStatic(params(), false, 333.15, 100.0);
+    pa::holdStatic(aging, params(), true, 333.15, 100.0);
+    pa::holdStatic(aging, params(), false, 333.15, 100.0);
     const double nmos_before =
         aging.deltaVth(params(), pp::TransistorType::Nmos);
     const double pmos_before =
         aging.deltaVth(params(), pp::TransistorType::Pmos);
-    aging.release(params(), 333.15, 100.0);
+    pa::release(aging, params(), 333.15, 100.0);
     EXPECT_LT(aging.deltaVth(params(), pp::TransistorType::Nmos),
               nmos_before);
     EXPECT_LT(aging.deltaVth(params(), pp::TransistorType::Pmos),
@@ -370,8 +373,8 @@ TEST(ElementAging, ReleaseRecoversBoth)
 TEST(ElementAging, HigherTemperatureAgesFaster)
 {
     pp::ElementAging cool, hot;
-    cool.holdStatic(params(), true, 318.15, 100.0);
-    hot.holdStatic(params(), true, 348.15, 100.0);
+    pa::holdStatic(cool, params(), true, 318.15, 100.0);
+    pa::holdStatic(hot, params(), true, 348.15, 100.0);
     EXPECT_GT(hot.deltaVth(params(), pp::TransistorType::Nmos),
               cool.deltaVth(params(), pp::TransistorType::Nmos));
 }
@@ -379,9 +382,9 @@ TEST(ElementAging, HigherTemperatureAgesFaster)
 TEST(ElementAging, BadDutyIsFatal)
 {
     pp::ElementAging aging;
-    EXPECT_THROW(aging.holdToggling(params(), -0.1, 333.15, 1.0),
+    EXPECT_THROW(pa::holdToggling(aging, params(), -0.1, 333.15, 1.0),
                  pu::FatalError);
-    EXPECT_THROW(aging.holdToggling(params(), 1.1, 333.15, 1.0),
+    EXPECT_THROW(pa::holdToggling(aging, params(), 1.1, 333.15, 1.0),
                  pu::FatalError);
 }
 
@@ -616,8 +619,8 @@ TEST_P(TemperatureSweep, HotterMeansMoreShift)
 {
     const double temp_c = GetParam();
     pp::ElementAging cool, hot;
-    cool.holdStatic(params(), true, pu::celsiusToKelvin(temp_c), 50.0);
-    hot.holdStatic(params(), true, pu::celsiusToKelvin(temp_c + 15.0),
+    pa::holdStatic(cool, params(), true, pu::celsiusToKelvin(temp_c), 50.0);
+    pa::holdStatic(hot, params(), true, pu::celsiusToKelvin(temp_c + 15.0),
                    50.0);
     EXPECT_GT(hot.deltaVth(params(), pp::TransistorType::Nmos),
               cool.deltaVth(params(), pp::TransistorType::Nmos));

@@ -31,6 +31,9 @@
 #include "util/snapshot.hpp"
 #include "util/stats.hpp"
 
+#include "aging_at.hpp"
+
+namespace pa = pentimento::aging_at;
 namespace pc = pentimento::core;
 namespace pcl = pentimento::cloud;
 namespace pf = pentimento::fabric;
@@ -58,18 +61,18 @@ TEST_P(AgingScheduleFuzz, ShiftStaysNonNegativeAndBounded)
         const int action = static_cast<int>(rng.uniformInt(0, 3));
         switch (action) {
           case 0:
-            aging.holdStatic(params, true, temp, dt);
-            pure_stress.holdStatic(params, true, temp, dt);
+            pa::holdStatic(aging, params, true, temp, dt);
+            pa::holdStatic(pure_stress, params, true, temp, dt);
             stressed_hours += dt;
             break;
           case 1:
-            aging.holdStatic(params, false, temp, dt);
+            pa::holdStatic(aging, params, false, temp, dt);
             break;
           case 2:
-            aging.holdToggling(params, rng.uniform(0.0, 1.0), temp, dt);
+            pa::holdToggling(aging, params, rng.uniform(0.0, 1.0), temp, dt);
             break;
           default:
-            aging.release(params, temp, dt);
+            pa::release(aging, params, temp, dt);
             break;
         }
         const double nmos =
@@ -99,9 +102,9 @@ TEST_P(AgingScheduleFuzz, DeterministicReplay)
         for (int step = 0; step < 100; ++step) {
             const double dt = rng.uniform(0.1, 3.0);
             if (rng.bernoulli(0.5)) {
-                aging.holdStatic(params, rng.bernoulli(0.5), 330.0, dt);
+                pa::holdStatic(aging, params, rng.bernoulli(0.5), 330.0, dt);
             } else {
-                aging.release(params, 330.0, dt);
+                pa::release(aging, params, 330.0, dt);
             }
         }
         return aging.deltaVth(params, pp::TransistorType::Nmos) +

@@ -13,7 +13,7 @@
  * design, a pending five-run journal history, an open
  * timeline segment, un-flushed deferred idle time) and every delay,
  * temperature, and RNG draw after restore must EQ — not NEAR — the
- * straight-through run. Satellites ride along: the AgingStore rehash
+ * straight-through run. Satellites ride along: the element-slab rehash
  * round trip past one slab chunk, and the journal's compaction-pin
  * rebase / applyServiceWear orderings immediately after restore.
  */
@@ -1136,7 +1136,7 @@ TEST(SnapshotDevice, HugeRecordCountsAreRejected)
     }
 }
 
-TEST(SnapshotDevice, AgingStoreRehashRoundTrip)
+TEST(SnapshotDevice, ElementSlabRehashRoundTrip)
 {
     // Materialise past one slab chunk (1024) so the open-addressing
     // index has grown through at least one rehash before the save.

@@ -24,6 +24,9 @@
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
+#include "aging_at.hpp"
+
+namespace pa = pentimento::aging_at;
 namespace pf = pentimento::fabric;
 namespace pp = pentimento::phys;
 namespace pt = pentimento::tdc;
@@ -439,7 +442,7 @@ injectExtremeAging(pf::Device &device, const pf::RouteSpec &route,
     for (const pf::ResourceId &id : route.elements) {
         pf::RoutingElement &elem = device.element(id);
         elem.aging().setScale(scale);
-        elem.aging().holdToggling(params, duty, 333.15, 100.0);
+        pa::holdToggling(elem.aging(), params, duty, 333.15, 100.0);
     }
 }
 
@@ -485,7 +488,8 @@ TEST(Tdc, SampleHammingMatchesCaptureLockstep)
         pu::Rng setup(seed * 77 + 5);
         for (const pf::ResourceId &id : bench.route.elements) {
             if (setup.bernoulli(0.7)) {
-                bench.device.element(id).aging().holdStatic(
+                pa::holdStatic(
+                    bench.device.element(id).aging(), 
                     params, setup.bernoulli(0.5),
                     setup.uniform(300.0, 360.0),
                     setup.uniform(0.0, 300.0));

@@ -19,13 +19,18 @@
  *    many ranges, and every answer — hit, miss, after compaction,
  *    after a restore, under concurrent callers — is bit-equal to a
  *    fresh left-to-right sum over the current segments.
+ *  - Element-aging pins: every activity through the public Device
+ *    API, over both the per-segment and the run-reduced replay, with
+ *    each element's BTI hours and ΔVth recorded as hexfloats.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -467,5 +472,111 @@ TEST(RunTotalsMemo, ConcurrentCallersMatchSerialResults)
             << "query " << i;
     }
 }
+
+// ------------------------------------------- element-aging pins
+
+/** One element's aging state: NMOS and PMOS stress/recovery hours,
+ *  then its ΔVth pair. */
+using PinnedAging = std::array<double, 6>;
+
+/**
+ * Every element-aging path through the public Device API: a Hold0,
+ * a Hold1 and a Toggle (duty 0.3) design in turn, then a wipe to
+ * Unused, each phase aged over `segments` advanceAt spans at
+ * alternating 50/70 °C so no two spans coalesce. Each flip therefore
+ * replays a run of exactly `segments` closed segments: under 16 takes
+ * replaySpan's per-segment branch, 16 or more its run-reduced one.
+ * The first route is bound before the first load, so its flips replay
+ * live; the second is only observed at the end, through the journal.
+ */
+std::vector<PinnedAging>
+runActivityCycle(int segments)
+{
+    pf::Device device(tinyConfig());
+    const pf::RouteSpec live = device.allocateRoute("live", 50.0);
+    const pf::RouteSpec deferred = device.allocateRoute("deferred", 50.0);
+    for (const pf::ResourceId &id : live.elements) {
+        (void)device.bindElement(id);
+    }
+    for (int phase = 0; phase < 4; ++phase) {
+        if (phase == 3) {
+            device.wipe();
+        } else {
+            auto design =
+                std::make_shared<pf::Design>("phase" + std::to_string(phase));
+            for (const pf::RouteSpec *spec : {&live, &deferred}) {
+                if (phase == 2) {
+                    design->setRouteToggling(*spec, 0.3);
+                } else {
+                    design->setRouteValue(*spec, phase == 1);
+                }
+            }
+            device.loadDesign(design);
+        }
+        for (int seg = 0; seg < segments; ++seg) {
+            device.advanceAt(2.0 + 0.37 * seg,
+                             seg % 2 == 0 ? 323.15 : 343.15);
+        }
+    }
+    std::vector<PinnedAging> pins;
+    for (const pf::RouteSpec *spec : {&live, &deferred}) {
+        for (const pf::ResourceId &id : spec->elements) {
+            const pf::RoutingElement &elem = device.element(id);
+            const pp::BtiState &nmos =
+                elem.aging().state(pp::TransistorType::Nmos);
+            const pp::BtiState &pmos =
+                elem.aging().state(pp::TransistorType::Pmos);
+            PinnedAging pin{nmos.stressHours(), nmos.recoveryHours(),
+                            pmos.stressHours(), pmos.recoveryHours()};
+            elem.deltaVthPair(device.config().bti, pin[4], pin[5]);
+            pins.push_back(pin);
+        }
+    }
+    return pins;
+}
+
+void
+expectPinned(const std::vector<PinnedAging> &got,
+             const std::vector<PinnedAging> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t e = 0; e < got.size(); ++e) {
+        for (std::size_t v = 0; v < 6; ++v) {
+            EXPECT_EQ(got[e][v], want[e][v])
+                << "element " << e << " value " << v;
+        }
+    }
+}
+
+TEST(ElementAgingPins, PerSegmentReplayRecordedValues)
+{
+    // Recorded values: a rounding change anywhere between the
+    // timeline and BtiState fails here.
+    expectPinned(runActivityCycle(5), {
+        {0x1.48f04990a9865p+4, 0x1.fa0f3619a2586p+3, 0x1.9bd08a4eaefaep+4,
+         0x1.fa0f3619a2586p+3, 0x1.04a135a6202ddp-12, 0x1.6f32a85d7d9f5p-12},
+        {0x1.48f04990a9865p+4, 0x1.fa0f3619a2586p+3, 0x1.9bd08a4eaefacp+4,
+         0x1.fa0f3619a2586p+3, 0x1.dbff1d0679ab1p-13, 0x1.4f500de90b512p-12},
+        {0x1.48f04990a9865p+4, 0x1.fa0f3619a2586p+3, 0x1.9bd08a4eaefaep+4,
+         0x1.fa0f3619a2586p+3, 0x1.1c08e8fd4f6bbp-12, 0x1.902c49b0469bap-12},
+        {0x1.48f04990a9865p+4, 0x1.fa0f3619a2586p+3, 0x1.9bd08a4eaefaep+4,
+         0x1.fa0f3619a2586p+3, 0x1.e4e96af8a847p-13, 0x1.5597cf21ec187p-12},
+    });
+}
+
+TEST(ElementAgingPins, RunReducedReplayRecordedValues)
+{
+    expectPinned(runActivityCycle(20), {
+        {0x1.8855e526f017ap+7, 0x1.2dcbeb590774ap+7, 0x1.a3030af91785ap+7,
+         0x1.2dcbeb590774ap+7, 0x1.6145fcef1f5e8p-12, 0x1.1fd6e1d853e58p-11},
+        {0x1.8855e526f017ap+7, 0x1.2dcbeb590774ap+7, 0x1.a3030af91785ap+7,
+         0x1.2dcbeb590774ap+7, 0x1.4298eb170947fp-12, 0x1.06d85fb49c97ap-11},
+        {0x1.8855e526f017ap+7, 0x1.2dcbeb590774ap+7, 0x1.a3030af91785cp+7,
+         0x1.2dcbeb590774ap+7, 0x1.80ff80ebac95cp-12, 0x1.39b01d4612206p-11},
+        {0x1.8855e526f017ap+7, 0x1.2dcbeb590774ap+7, 0x1.a3030af91785ap+7,
+         0x1.2dcbeb590774ap+7, 0x1.48a3b49c8578ap-12, 0x1.0bc4a97997978p-11},
+    });
+}
+
 
 } // namespace
