@@ -6,8 +6,9 @@ tree's engine (`src/`) but compiling the *change* tree's
 `bench/microbench_kernels.cpp`, so a benchmark added by the change
 times the parent's code too. The two binaries then run in alternating
 order (parent first on even rounds, change first on odd ones), and the
-script reports each benchmark's CPU time per iteration as median
-[q1, q3] per side, with how many rounds the change won.
+script reports each benchmark's CPU time per iteration (wall time
+with --time real) as median [q1, q3] per side, with how many rounds
+the change won.
 
     python3 bench/ab_microbench.py --parent ../parent --change . \\
         --filter 'BM_TdcFastTrace|BM_BtiCollapse' --rounds 10
@@ -61,7 +62,7 @@ def build(side, engine, source, build_dir):
     return os.path.join(binary_dir, "microbench_kernels")
 
 
-def run_once(binary, bench_filter, min_time):
+def run_once(binary, bench_filter, min_time, clock):
     proc = subprocess.run(
         [binary, f"--benchmark_filter={bench_filter}",
          "--benchmark_format=json",
@@ -73,7 +74,7 @@ def run_once(binary, bench_filter, min_time):
     for bench in json.loads(proc.stdout)["benchmarks"]:
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[
             bench["time_unit"]]
-        times[bench["name"]] = bench["cpu_time"] * scale
+        times[bench["name"]] = bench[clock] * scale
     return times
 
 
@@ -92,6 +93,10 @@ def main():
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--min-time", type=float, default=0.5,
                         help="seconds per benchmark per run")
+    parser.add_argument("--time", choices=("cpu", "real"), default="cpu",
+                        help="report CPU time (default) or wall time; "
+                        "use real for work that waits on I/O or on "
+                        "other threads")
     parser.add_argument("--build-dir")
     args = parser.parse_args()
     if args.rounds < 1:
@@ -111,7 +116,8 @@ def main():
         order = ("parent", "change") if r % 2 == 0 else ("change",
                                                           "parent")
         for side in order:
-            times = run_once(binaries[side], args.filter, args.min_time)
+            times = run_once(binaries[side], args.filter, args.min_time,
+                             f"{args.time}_time")
             for name, ns in times.items():
                 series[side].setdefault(name, []).append(ns)
         print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)

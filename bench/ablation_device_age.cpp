@@ -36,11 +36,11 @@ contrastForAge(double age_hours, std::uint64_t seed)
 
     util::RunningStats contrast;
     for (int r = 0; r < 6; ++r) {
-        const fabric::RouteSpec route = device.allocateRoute(
-            "r" + std::to_string(r), 5000.0);
-        tdc::Tdc sensor(device, route,
-                        device.allocateCarryChain(
-                            "c" + std::to_string(r), 64));
+        std::string name = "r";
+        name += std::to_string(r);
+        const fabric::RouteSpec route = device.allocateRoute(name, 5000.0);
+        name.front() = 'c'; // the route's sensor chain: same index
+        tdc::Tdc sensor(device, route, device.allocateCarryChain(name, 64));
         sensor.calibrate(oven.dieTempK(), rng);
         const double before =
             sensor.measure(oven.dieTempK(), rng).deltaPs();

@@ -58,8 +58,9 @@ runComparison(double ambient_sigma_k, std::uint64_t seed)
     std::vector<fabric::RouteSpec> routes;
     std::vector<bool> burn;
     for (int r = 0; r < 12; ++r) {
-        routes.push_back(
-            device.allocateRoute("r" + std::to_string(r), 5000.0));
+        std::string name = "r";
+        name += std::to_string(r);
+        routes.push_back(device.allocateRoute(name, 5000.0));
         burn.push_back(r % 2 == 0);
     }
 
@@ -71,9 +72,10 @@ runComparison(double ambient_sigma_k, std::uint64_t seed)
     std::vector<double> tdc_before, ro_before;
     for (std::size_t r = 0; r < routes.size(); ++r) {
         const double temp = drawTemp();
+        std::string chain = "c";
+        chain += std::to_string(r);
         tdcs.emplace_back(device, routes[r],
-                          device.allocateCarryChain(
-                              "c" + std::to_string(r), 64));
+                          device.allocateCarryChain(chain, 64));
         tdcs.back().calibrate(temp, rng);
         tdc_before.push_back(tdcs.back().measure(temp, rng).deltaPs());
         ro_before.push_back(

@@ -58,10 +58,11 @@ accuracyWithKnowledge(double knowledge, std::uint64_t seed)
     std::vector<tdc::Tdc> sensors;
     std::vector<double> before;
     for (int b = 0; b < bits; ++b) {
+        std::string chain = "c";
+        chain += std::to_string(b);
         sensors.emplace_back(device,
                              believed[static_cast<std::size_t>(b)],
-                             device.allocateCarryChain(
-                                 "c" + std::to_string(b), 64));
+                             device.allocateCarryChain(chain, 64));
         sensors.back().calibrate(oven.dieTempK(), rng);
         before.push_back(
             sensors.back().measure(oven.dieTempK(), rng).deltaPs());

@@ -43,12 +43,13 @@ contrastAtDwell(double dwell, std::uint64_t seed)
     std::vector<tdc::Tdc> sensors;
     std::vector<double> before;
     for (int b = 0; b < bits; ++b) {
-        routes.push_back(
-            device.allocateRoute("r" + std::to_string(b), 5000.0));
+        std::string name = "r";
+        name += std::to_string(b);
+        routes.push_back(device.allocateRoute(name, 5000.0));
         secret.push_back(b % 2 == 0);
+        name.front() = 'c'; // the route's sensor chain: same index
         sensors.emplace_back(device, routes.back(),
-                             device.allocateCarryChain(
-                                 "c" + std::to_string(b), 64));
+                             device.allocateCarryChain(name, 64));
         sensors.back().calibrate(oven.dieTempK(), rng);
         before.push_back(
             sensors.back().measure(oven.dieTempK(), rng).deltaPs());

@@ -61,9 +61,10 @@ burnAndMeasure(bool use_lut, std::uint64_t seed)
     std::vector<double> before;
     std::vector<double> noise_samples;
     for (int b = 0; b < out.total; ++b) {
+        std::string chain = "c";
+        chain += std::to_string(b);
         sensors.emplace_back(device, paths[static_cast<std::size_t>(b)],
-                             device.allocateCarryChain(
-                                 "c" + std::to_string(b), 64));
+                             device.allocateCarryChain(chain, 64));
         sensors.back().calibrate(oven.dieTempK(), rng);
         const double m1 =
             sensors.back().measure(oven.dieTempK(), rng).deltaPs();

@@ -2,15 +2,19 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * BTI kinetics steps, aged-delay evaluation, TDC captures and full
- * measurement sweeps, whole-device aging steps, and the fleet
- * campaign's day loop. These bound the wall-clock cost of the figure
- * benches.
+ * measurement sweeps, whole-device aging steps, the fleet
+ * campaign's day loop and a checkpointed campaign. These bound the
+ * wall-clock cost of the figure benches.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+
+#include <unistd.h>
 
 #include "cloud/ambient.hpp"
 #include "cloud/platform.hpp"
@@ -149,8 +153,9 @@ BM_DeviceAdvanceHour(benchmark::State &state)
     std::vector<fabric::RouteSpec> specs;
     auto design = std::make_shared<fabric::Design>("d");
     for (int r = 0; r < state.range(0); ++r) {
-        specs.push_back(
-            device.allocateRoute("r" + std::to_string(r), 5000.0));
+        std::string name = "r";
+        name += std::to_string(r);
+        specs.push_back(device.allocateRoute(name, 5000.0));
         design->setRouteValue(specs.back(), r % 2 == 0);
     }
     device.loadDesign(design);
@@ -171,8 +176,9 @@ BM_DeviceAdvanceHourParallel(benchmark::State &state)
     std::vector<fabric::RouteSpec> specs;
     auto design = std::make_shared<fabric::Design>("d");
     for (int r = 0; r < state.range(0); ++r) {
-        specs.push_back(
-            device.allocateRoute("r" + std::to_string(r), 5000.0));
+        std::string name = "r";
+        name += std::to_string(r);
+        specs.push_back(device.allocateRoute(name, 5000.0));
         design->setRouteValue(specs.back(), r % 2 == 0);
     }
     device.loadDesign(design);
@@ -260,9 +266,11 @@ BM_TenancyTurnover(benchmark::State &state)
         std::vector<fabric::RouteSpec> specs;
         std::vector<bool> bits;
         for (int r = 0; r < kRoutes; ++r) {
-            specs.push_back(planner.allocateRoute(
-                "t" + std::to_string(t) + "_r" + std::to_string(r),
-                2000.0));
+            std::string name = "t";
+            name += std::to_string(t);
+            name += "_r";
+            name += std::to_string(r);
+            specs.push_back(planner.allocateRoute(name, 2000.0));
             bits.push_back(rng.bernoulli(0.5));
         }
         targets.push_back(std::make_shared<fabric::TargetDesign>(
@@ -334,8 +342,9 @@ runMeasureSweepParallel(benchmark::State &state, bool fast_sampling)
     fabric::Device device{fabric::DeviceConfig{}};
     std::vector<fabric::RouteSpec> routes;
     for (int r = 0; r < state.range(0); ++r) {
-        routes.push_back(
-            device.allocateRoute("r" + std::to_string(r), 5000.0));
+        std::string name = "r";
+        name += std::to_string(r);
+        routes.push_back(device.allocateRoute(name, 5000.0));
     }
     tdc::TdcConfig config;
     config.fast_sampling = fast_sampling;
@@ -420,6 +429,42 @@ BENCHMARK(BM_FleetSimulationPhase)
     ->Args({1, 0})
     ->Args({4, 0})
     ->Args({4, 8})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void
+BM_CheckpointedFleetScan(benchmark::State &state)
+{
+    // perfbench's `durable` shape without its halt, resume and shards:
+    // a serial runFleetScan (defaults: 112 boards, a simulated year, 8
+    // routes per tenant, 8 boards scanned) that writes a rotating
+    // checkpoint every 7 days, 52 in all. Wall time, so the fsync and
+    // rename of each commit count wherever they run.
+    char dir[] = "/tmp/microbench_ckpt_XXXXXX";
+    if (::mkdtemp(dir) == nullptr) {
+        state.SkipWithError("mkdtemp failed");
+        return;
+    }
+    const std::string path = std::string(dir) + "/durable.ckpt";
+    serve::FleetScanConfig config;
+    config.checkpoint_every_days = 7;
+    config.checkpoint_path = path;
+    config.resume = serve::ResumeMode::Never;
+    for (auto _ : state) {
+        const util::Expected<serve::FleetScanResult> result =
+            serve::runFleetScan(config);
+        if (!result.ok()) {
+            state.SkipWithError(result.error().c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(result.value().tenancies);
+    }
+    for (const char *suffix : {"", ".prev", ".tmp"}) {
+        std::remove((path + suffix).c_str());
+    }
+    ::rmdir(dir);
+}
+BENCHMARK(BM_CheckpointedFleetScan)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

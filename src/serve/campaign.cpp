@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -84,6 +89,112 @@ struct StressSlot
     const Tenancy *tenancy = nullptr;
 };
 
+/**
+ * Publishes staged checkpoints (fsync, close, rename) on one
+ * background thread while the day loop goes on, one at a time. The
+ * thread starts with the first publish and then parks on a condition
+ * variable, so a campaign starts one thread, not one per checkpoint.
+ * If it cannot start, each commit publishes inline. Destruction waits
+ * for the publish in flight and never throws.
+ */
+class CheckpointCommitter
+{
+  public:
+    CheckpointCommitter() = default;
+    CheckpointCommitter(const CheckpointCommitter &) = delete;
+    CheckpointCommitter &operator=(const CheckpointCommitter &) = delete;
+
+    ~CheckpointCommitter()
+    {
+        if (thread_.joinable()) {
+            {
+                const std::lock_guard<std::mutex> lock(mutex_);
+                stop_ = true;
+            }
+            wake_.notify_one();
+            thread_.join();
+        }
+    }
+
+    /** Hand `staged` to the thread. The last publish must have been
+     *  waited for. */
+    void
+    publish(util::StagedSnapshot staged)
+    {
+        if (!thread_.joinable() && !inline_) {
+            try {
+                thread_ = std::thread([this] { run(); });
+            } catch (const std::system_error &) {
+                inline_ = true;
+            }
+        }
+        if (inline_) {
+            outcome_ = staged.publish();
+            return;
+        }
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            if (staged_ || busy_) {
+                util::panic("CheckpointCommitter: a publish is in flight");
+            }
+            staged_.emplace(std::move(staged));
+        }
+        wake_.notify_one();
+        // The woken thread is often queued behind this one on its CPU
+        // until this one's time slice ends: 0 to 4 ms, 1 ms on average,
+        // on a 4-vCPU host. Yielding lets the fsync start now; the
+        // thread blocks in it and hands the CPU back within microseconds.
+        std::this_thread::yield();
+    }
+
+    /** Wait for the last publish to land; its outcome (ok if none). */
+    util::Expected<void>
+    wait()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_.wait(lock, [this] { return !staged_ && !busy_; });
+        return std::exchange(outcome_, util::Expected<void>{});
+    }
+
+  private:
+    void
+    run()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (;;) {
+            wake_.wait(lock, [this] { return staged_ || stop_; });
+            if (!staged_) {
+                return;
+            }
+            util::StagedSnapshot staged = std::move(*staged_);
+            staged_.reset();
+            busy_ = true;
+            lock.unlock();
+            util::Expected<void> outcome;
+            try {
+                outcome = staged.publish();
+            } catch (const std::exception &e) {
+                outcome = util::unexpected(
+                    std::string("snapshot: publish threw: ") + e.what());
+            }
+            lock.lock();
+            outcome_ = std::move(outcome);
+            busy_ = false;
+            done_.notify_one();
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable wake_; // the thread: work or stop
+    std::condition_variable done_; // the campaign: publish landed
+    std::optional<util::StagedSnapshot> staged_;
+    bool busy_ = false;
+    bool stop_ = false;
+    bool inline_ = false;
+    util::Expected<void> outcome_;
+    std::thread thread_;
+};
+
 /** Everything the day loop owns; what a checkpoint must capture. */
 struct CampaignState
 {
@@ -98,6 +209,9 @@ struct CampaignState
     /** Bytes of the last checkpoint image written or resumed from: a
      *  capacity hint for the next one, not itself checkpointed. */
     std::size_t checkpoint_bytes = 0;
+    /** Publishes this campaign's checkpoints, at most one in flight.
+     *  Last, so it is waited for before the rest of the state goes. */
+    std::unique_ptr<CheckpointCommitter> committer;
 };
 
 /**
@@ -239,9 +353,32 @@ readTenancy(util::SnapshotReader &reader, Tenancy *tenancy)
     return reader.ok();
 }
 
+void
+warnCheckpointFailed(const std::string &error)
+{
+    util::warn("fleet scan: checkpoint write failed (" + error +
+               "); continuing without it");
+}
+
+/** Wait for the in-flight checkpoint publish, if any; report its
+ *  failure like a synchronous commit's. */
+void
+awaitPublish(CampaignState &state)
+{
+    if (!state.committer) {
+        return;
+    }
+    const util::Expected<void> outcome = state.committer->wait();
+    if (!outcome.ok()) {
+        warnCheckpointFailed(outcome.error());
+    }
+}
+
 /**
- * Write one rotating checkpoint generation. Failure is reported but
- * non-fatal — a full disk must not kill a long campaign.
+ * Write one rotating checkpoint generation. The image is serialized
+ * and staged here; its publish runs on a background thread while the
+ * day loop goes on. Failure is reported but non-fatal — a full disk
+ * must not kill a long campaign.
  */
 void
 saveCheckpoint(CampaignState &state, const FleetScanConfig &config)
@@ -289,12 +426,18 @@ saveCheckpoint(CampaignState &state, const FleetScanConfig &config)
     writer.endChunk();
     state.checkpoint_bytes = writer.finish().size();
 
-    const util::Expected<void> committed =
-        writer.commitRotating(config.checkpoint_path);
-    if (!committed.ok()) {
-        util::warn("fleet scan: checkpoint write failed (" +
-                   committed.error() + "); continuing without it");
+    // The previous publish renames the one `.tmp` this stage rewrites.
+    awaitPublish(state);
+    util::Expected<util::StagedSnapshot> staged =
+        writer.stageRotating(config.checkpoint_path);
+    if (!staged.ok()) {
+        warnCheckpointFailed(staged.error());
+        return;
     }
+    if (!state.committer) {
+        state.committer = std::make_unique<CheckpointCommitter>();
+    }
+    state.committer->publish(std::move(staged.value()));
 }
 
 /**
@@ -863,6 +1006,7 @@ runFleetScan(const FleetScanConfig &config)
             saveCheckpoint(state, config);
         }
         if (halting) {
+            awaitPublish(state);
             result.halted_after_day = completed;
             result.tenancies = state.finished.size();
             result.simulated_h = platform.nowHours();
@@ -878,6 +1022,7 @@ runFleetScan(const FleetScanConfig &config)
             if (checkpointing) {
                 saveCheckpoint(state, config);
             }
+            awaitPublish(state);
             throw util::CancelledError(
                 "fleet scan cancelled after day " +
                 std::to_string(completed));
@@ -1042,6 +1187,7 @@ runFleetScan(const FleetScanConfig &config)
             result.stress_elements += deferred[b];
         }
     }
+    awaitPublish(state);
     return result;
 }
 

@@ -20,7 +20,10 @@
  *    latest good generation *if* it matches this config — so a server
  *    killed mid-campaign re-delivers the identical result when the
  *    identical request is resubmitted after restart. A missing,
- *    corrupt or mismatched checkpoint just means a fresh run.
+ *    corrupt or mismatched checkpoint just means a fresh run. Each
+ *    checkpoint is serialized and staged on the campaign thread and
+ *    published (fsync, rename) on a background thread, at most one
+ *    at a time; a halt, a cancellation or the return waits for it.
  *
  * The result is a pure function of (fleet, days, seed,
  * routes_per_tenant, max_measured): checkpoint/resume history, the
@@ -130,9 +133,10 @@ struct FleetScanConfig
  * Run (or resume) a fleet-scan campaign.
  *
  * Throws util::CancelledError when the observer cancels (after
- * writing a final checkpoint, when a path is configured); returns an
- * error for invalid configuration. Checkpoint write failures are
- * reported via util::warn and never fail the campaign.
+ * writing a final checkpoint, when a path is configured, and waiting
+ * for it to be published); returns an error for invalid
+ * configuration. Checkpoint write failures are reported via util::warn
+ * on the calling thread and never fail the campaign.
  */
 util::Expected<FleetScanResult> runFleetScan(
     const FleetScanConfig &config);

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -286,8 +287,60 @@ SnapshotWriter::finish()
     return out_;
 }
 
+StagedSnapshot::StagedSnapshot(StagedSnapshot &&other) noexcept
+    : file_(std::exchange(other.file_, nullptr)),
+      path_(std::move(other.path_)), torn_(other.torn_)
+{
+}
+
+StagedSnapshot::~StagedSnapshot()
+{
+    // Never published: drop the staged image.
+    if (file_ != nullptr) {
+        std::fclose(file_);
+        std::remove((path_ + ".tmp").c_str());
+    }
+}
+
 Expected<void>
-SnapshotWriter::commit(const std::string &path)
+StagedSnapshot::publish()
+{
+    if (file_ == nullptr) {
+        panic("StagedSnapshot::publish: nothing staged");
+    }
+    const std::string tmp = path_ + ".tmp";
+    std::FILE *fp = std::exchange(file_, nullptr);
+    if (fsync(fileno(fp)) != 0) {
+        const Expected<void> err =
+            unexpected(errnoMessage("snapshot: fsync failed for", tmp));
+        std::fclose(fp);
+        std::remove(tmp.c_str());
+        return err;
+    }
+    if (std::fclose(fp) != 0) {
+        std::remove(tmp.c_str());
+        return unexpected(errnoMessage("snapshot: close failed for", tmp));
+    }
+    if (fault::shouldFail("snapshot.commit.rename")) {
+        std::remove(tmp.c_str());
+        return unexpected("snapshot: rename failed for " + tmp +
+                          " (injected)");
+    }
+    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
+        const Expected<void> err =
+            unexpected(errnoMessage("snapshot: rename failed for", tmp));
+        std::remove(tmp.c_str());
+        return err;
+    }
+    if (torn_) {
+        return unexpected("snapshot: torn rename for " + path_ +
+                          " (injected; destination truncated)");
+    }
+    return {};
+}
+
+Expected<StagedSnapshot>
+SnapshotWriter::stage(const std::string &path)
 {
     const std::vector<std::uint8_t> &image = finish();
     const std::string tmp = path + ".tmp";
@@ -310,38 +363,18 @@ SnapshotWriter::commit(const std::string &path)
         (torn || short_write) ? image.size() / 2 : image.size();
     const std::size_t written =
         intend == 0 ? 0 : std::fwrite(image.data(), 1, intend, fp);
-    if (short_write || written != intend || std::fflush(fp) != 0 ||
-        fsync(fileno(fp)) != 0) {
-        const Expected<void> err =
-            unexpected(errnoMessage("snapshot: short write to", tmp));
+    if (short_write || written != intend || std::fflush(fp) != 0) {
+        const std::string err =
+            errnoMessage("snapshot: short write to", tmp);
         std::fclose(fp);
         std::remove(tmp.c_str());
-        return err;
+        return unexpected(err);
     }
-    if (std::fclose(fp) != 0) {
-        std::remove(tmp.c_str());
-        return unexpected(errnoMessage("snapshot: close failed for", tmp));
-    }
-    if (fault::shouldFail("snapshot.commit.rename")) {
-        std::remove(tmp.c_str());
-        return unexpected("snapshot: rename failed for " + tmp +
-                          " (injected)");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const Expected<void> err =
-            unexpected(errnoMessage("snapshot: rename failed for", tmp));
-        std::remove(tmp.c_str());
-        return err;
-    }
-    if (torn) {
-        return unexpected("snapshot: torn rename for " + path +
-                          " (injected; destination truncated)");
-    }
-    return {};
+    return StagedSnapshot(fp, path, torn);
 }
 
-Expected<void>
-SnapshotWriter::commitRotating(const std::string &path)
+Expected<StagedSnapshot>
+SnapshotWriter::stageRotating(const std::string &path)
 {
     // Keep the previous good generation: path -> path.prev, then the
     // fresh image lands on path. A crash between the two renames
@@ -350,7 +383,27 @@ SnapshotWriter::commitRotating(const std::string &path)
     if (std::rename(path.c_str(), prev.c_str()) != 0 && errno != ENOENT) {
         return unexpected(errnoMessage("snapshot: rotate failed for", path));
     }
-    return commit(path);
+    return stage(path);
+}
+
+Expected<void>
+SnapshotWriter::commit(const std::string &path)
+{
+    Expected<StagedSnapshot> staged = stage(path);
+    if (!staged.ok()) {
+        return unexpected(staged.error());
+    }
+    return staged.value().publish();
+}
+
+Expected<void>
+SnapshotWriter::commitRotating(const std::string &path)
+{
+    Expected<StagedSnapshot> staged = stageRotating(path);
+    if (!staged.ok()) {
+        return unexpected(staged.error());
+    }
+    return staged.value().publish();
 }
 
 Expected<SnapshotReader>

@@ -17,6 +17,9 @@
  * `<path>.tmp`, fsync'd, then renamed over `<path>`. commitRotating()
  * additionally keeps the previous good generation at `<path>.prev`, so
  * a crash at any instant leaves at least one loadable checkpoint.
+ * A commit runs in two stages: stageRotating() rotates and writes
+ * `.tmp`, and StagedSnapshot::publish() fsyncs and renames it, so a
+ * caller can publish on another thread once the image is staged.
  * Choosing a generation is the caller's job: open() checks only the
  * header, each chunk's CRC is checked as it is entered, and a restore
  * that fails part-way retries `<path>.prev` (campaign resume does, and
@@ -34,9 +37,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/expected.hpp"
@@ -126,6 +131,43 @@ class SnapshotSpan
 };
 
 /**
+ * A commit whose image is written and flushed to `<path>.tmp` but is
+ * neither durable nor published (SnapshotWriter::stageRotating).
+ * publish() makes it both. Destroying a staged commit that was never
+ * published closes and removes `.tmp`, leaving the published
+ * generations as the stage left them. Move-only; publish() may run on
+ * a thread other than the one that staged it.
+ */
+class StagedSnapshot
+{
+  public:
+    StagedSnapshot(StagedSnapshot &&other) noexcept;
+    StagedSnapshot &operator=(StagedSnapshot &&) = delete;
+    StagedSnapshot(const StagedSnapshot &) = delete;
+    StagedSnapshot &operator=(const StagedSnapshot &) = delete;
+    ~StagedSnapshot();
+
+    /**
+     * fsync and close `<path>.tmp`, then rename it over `<path>`. Any
+     * OS-level failure removes `.tmp` and is returned, not thrown.
+     * Call at most once.
+     */
+    Expected<void> publish();
+
+  private:
+    friend class SnapshotWriter;
+
+    StagedSnapshot(std::FILE *file, std::string path, bool torn)
+        : file_(file), path_(std::move(path)), torn_(torn)
+    {
+    }
+
+    std::FILE *file_ = nullptr; // open `.tmp`; null once published
+    std::string path_;
+    bool torn_ = false; // injected torn rename: report after publishing
+};
+
+/**
  * Builds a snapshot image in memory and commits it atomically.
  *
  * Usage: beginChunk(tag), write primitives, endChunk(), repeat; then
@@ -191,7 +233,17 @@ class SnapshotWriter
      */
     Expected<void> commitRotating(const std::string &path);
 
+    /**
+     * The first stage of commitRotating(): finish(), rotate `<path>`
+     * to `<path>.prev`, then write and flush `<path>.tmp`. The image
+     * is not needed after this returns. A failure removes `.tmp`.
+     */
+    Expected<StagedSnapshot> stageRotating(const std::string &path);
+
   private:
+    /** finish(), then write and flush `<path>.tmp`. */
+    Expected<StagedSnapshot> stage(const std::string &path);
+
     std::vector<std::uint8_t> out_;
     std::size_t chunk_start_ = 0; // offset of open chunk's tag; 0 = closed
     std::uint32_t chunk_count_ = 0;

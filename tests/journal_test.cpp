@@ -244,8 +244,9 @@ TEST(JournalEquivalence, ReserveAfterLoadInvalidatesResolutionRefresh)
         std::vector<pf::RouteSpec> routes;
         auto design = std::make_shared<pf::Design>("d");
         for (int r = 0; r < 6; ++r) {
-            routes.push_back(device.allocateRoute(
-                "r" + std::to_string(r), 500.0));
+            std::string name = "r";
+            name += std::to_string(r);
+            routes.push_back(device.allocateRoute(name, 500.0));
             design->setRouteValue(routes.back(), r % 2 == 0);
         }
         device.loadDesign(design);
@@ -314,8 +315,9 @@ TEST(JournalLaziness, MaterialisedDesignLoadDoesNotGrowTheTable)
     std::vector<pf::RouteSpec> routes;
     std::size_t elements = 0;
     for (int r = 0; elements < 100; ++r) {
-        routes.push_back(
-            device.allocateRoute("r" + std::to_string(r), 500.0));
+        std::string name = "r";
+        name += std::to_string(r);
+        routes.push_back(device.allocateRoute(name, 500.0));
         elements += routes.back().size();
     }
     auto burn = std::make_shared<pf::Design>("burn");

@@ -141,8 +141,9 @@ TEST(Shuffle, ChangesAcrossPeriods)
     std::vector<pf::RouteSpec> specs;
     std::vector<bool> logical;
     for (int i = 0; i < 8; ++i) {
-        specs.push_back(device.allocateRoute("r" + std::to_string(i),
-                                             250.0));
+        std::string name = "r";
+        name += std::to_string(i);
+        specs.push_back(device.allocateRoute(name, 250.0));
         logical.push_back(i % 3 == 0);
     }
     pf::ArithmeticHeavyConfig arith;

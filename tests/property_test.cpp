@@ -409,9 +409,10 @@ TEST(FingerprintProperty, SurvivesHeavyBurnIn)
     pf::Device &device = platform.instance(*a).device();
     auto design = std::make_shared<pf::Design>("tenant");
     for (int r = 0; r < 8; ++r) {
-        design->setRouteValue(
-            device.allocateRoute("n" + std::to_string(r), 5000.0),
-            r % 2 == 0);
+        std::string name = "n";
+        name += std::to_string(r);
+        design->setRouteValue(device.allocateRoute(name, 5000.0),
+                              r % 2 == 0);
     }
     design->setPowerW(60.0);
     ASSERT_TRUE(platform.loadDesign(*a, design).empty());
@@ -572,8 +573,9 @@ class JournalInterleaving
             const auto action =
                 static_cast<int>(rng.uniformInt(0, 3));
             if (action == 0) {
-                auto design = std::make_shared<pf::Design>(
-                    "d" + std::to_string(step));
+                std::string name = "d";
+                name += std::to_string(step);
+                auto design = std::make_shared<pf::Design>(name);
                 for (const pf::RouteSpec &route : routes) {
                     if (!rng.bernoulli(0.5)) {
                         continue;

@@ -375,7 +375,9 @@ TEST(Logging, ConcurrentEmissionIsRaceFree)
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([t] {
-            util::setThreadLogContext("t" + std::to_string(t));
+            std::string context = "t";
+            context += std::to_string(t);
+            util::setThreadLogContext(context);
             for (int i = 0; i < 200; ++i) {
                 util::warn("concurrent warn");
                 util::inform("concurrent inform");
@@ -1388,6 +1390,103 @@ TEST_F(FleetScanResumeTest, TornRenameOnLastCommitResumesFromPrev)
     EXPECT_EQ(result.value().resumed_day, 10);
     EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()),
               reference);
+}
+
+#endif // PENTIMENTO_FAULT_INJECTION
+
+// A halted run returns, and a cancelled run throws, only once its
+// last checkpoint is published: right after, no .tmp is left and the
+// primary generation resumes at the halt or cancel day.
+TEST_F(FleetScanResumeTest, HaltAndCancelReturnOnlyAfterPublish)
+{
+    const std::string path = dir_ + "/scan.ckpt";
+    const auto requireResume = [&](int day) {
+        serve::FleetScanConfig resumed = scanConfig();
+        resumed.checkpoint_path = path;
+        resumed.resume = serve::ResumeMode::Require;
+        const util::Expected<serve::FleetScanResult> result =
+            serve::runFleetScan(resumed);
+        ASSERT_TRUE(result.ok()) << result.error();
+        EXPECT_EQ(result.value().resumed_from, path);
+        EXPECT_EQ(result.value().resumed_day, day);
+    };
+
+    serve::FleetScanConfig halted = scanConfig();
+    halted.checkpoint_every_days = 5;
+    halted.checkpoint_path = path;
+    halted.halt_at_day = 12;
+    const util::Expected<serve::FleetScanResult> result =
+        serve::runFleetScan(halted);
+    EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(result.value().halted_after_day, 12);
+    requireResume(12);
+
+    for (const char *suffix : {"", ".prev"}) {
+        ::unlink((path + suffix).c_str());
+    }
+    serve::FleetScanConfig cancelled = scanConfig();
+    cancelled.checkpoint_every_days = 5;
+    cancelled.checkpoint_path = path;
+    CancelAfter cancel(17);
+    cancelled.observer = &cancel;
+    EXPECT_THROW((void)serve::runFleetScan(cancelled),
+                 util::CancelledError);
+    EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+    requireResume(17);
+}
+
+#if defined(PENTIMENTO_FAULT_INJECTION)
+
+// A commit whose rename fails is warned about, on the campaign's own
+// thread (its log context tags the line), and the run goes on: the
+// result is the straight run's, and later generations still resume.
+TEST_F(FleetScanResumeTest, FailedBackgroundPublishIsWarnedAndRunContinues)
+{
+    const util::Expected<serve::FleetScanResult> straight =
+        serve::runFleetScan(scanConfig());
+    ASSERT_TRUE(straight.ok()) << straight.error();
+    const std::vector<std::uint8_t> reference =
+        serve::encodeFleetScanResult(1, straight.value());
+
+    const util::Expected<util::fault::Schedule> schedule =
+        util::fault::parseSchedule("seed=1;snapshot.commit.rename:max=1");
+    ASSERT_TRUE(schedule.ok()) << schedule.error();
+    serve::FleetScanConfig checkpointed = scanConfig();
+    checkpointed.checkpoint_every_days = 5;
+    checkpointed.checkpoint_path = dir_ + "/scan.ckpt";
+    util::fault::arm(schedule.value());
+    util::setVerbosity(util::Verbosity::Warning);
+    util::setThreadLogContext("scan");
+    ::testing::internal::CaptureStderr();
+    const util::Expected<serve::FleetScanResult> result =
+        serve::runFleetScan(checkpointed);
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    util::setThreadLogContext("");
+    util::setVerbosity(util::Verbosity::Silent);
+    const std::vector<util::fault::PointStats> stats =
+        util::fault::stats();
+    util::fault::disarm();
+
+    ASSERT_TRUE(result.ok()) << result.error();
+    EXPECT_EQ(serve::encodeFleetScanResult(1, result.value()), reference);
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].fires, 1u);
+    EXPECT_NE(warnings.find("warn: [scan] fleet scan: checkpoint write "
+                            "failed (snapshot: rename failed"),
+              std::string::npos)
+        << warnings;
+    EXPECT_NE(::access((dir_ + "/scan.ckpt.tmp").c_str(), F_OK), 0);
+
+    // Commits at days 10 to 25 published; the newest resumes.
+    serve::FleetScanConfig resumed = checkpointed;
+    resumed.resume = serve::ResumeMode::Require;
+    const util::Expected<serve::FleetScanResult> again =
+        serve::runFleetScan(resumed);
+    ASSERT_TRUE(again.ok()) << again.error();
+    EXPECT_EQ(again.value().resumed_from, dir_ + "/scan.ckpt");
+    EXPECT_EQ(again.value().resumed_day, 25);
+    EXPECT_EQ(serve::encodeFleetScanResult(1, again.value()), reference);
 }
 
 #endif // PENTIMENTO_FAULT_INJECTION

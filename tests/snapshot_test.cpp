@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,11 +53,11 @@ constexpr std::uint32_t kTag1 = pu::snapshotTag('T', 'S', '1', '!');
 constexpr std::uint32_t kTag2 = pu::snapshotTag('T', 'S', '2', '!');
 constexpr std::uint32_t kDevTag = pu::snapshotTag('D', 'E', 'V', '!');
 
-/** Two-chunk sample image exercising every primitive. */
-std::vector<std::uint8_t>
-sampleImage()
+/** Write the two chunks of the sample image, exercising every
+ *  primitive. */
+void
+writeSample(pu::SnapshotWriter &writer)
 {
-    pu::SnapshotWriter writer;
     writer.beginChunk(kTag1);
     writer.u8(7);
     writer.u32(0xdeadbeefu);
@@ -68,6 +69,14 @@ sampleImage()
     writer.u64(42);
     writer.u64(43);
     writer.endChunk();
+}
+
+/** The finished two-chunk sample image. */
+std::vector<std::uint8_t>
+sampleImage()
+{
+    pu::SnapshotWriter writer;
+    writeSample(writer);
     return writer.finish();
 }
 
@@ -143,6 +152,21 @@ fileExists(const std::string &path)
     }
     std::fclose(fp);
     return true;
+}
+
+/** Every byte of the file at `path` (empty when it cannot be read). */
+std::vector<std::uint8_t>
+fileBytes(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    if (std::FILE *fp = std::fopen(path.c_str(), "rb")) {
+        int c = 0;
+        while ((c = std::fgetc(fp)) != EOF) {
+            bytes.push_back(static_cast<std::uint8_t>(c));
+        }
+        std::fclose(fp);
+    }
+    return bytes;
 }
 
 /** One-chunk image carrying a single marker value. */
@@ -586,6 +610,97 @@ TEST(SnapshotFormat, CrashBetweenTempWriteAndRenameIsHarmless)
     }
 }
 
+// The two-stage commit is the same commit: staging then publishing
+// leaves the bytes commitRotating() writes and finish() returns, and
+// nothing appears under the path before publish().
+TEST(SnapshotFormat, StagedThenPublishedIsByteIdentical)
+{
+    const std::string staged_path = tempPath("snap_staged.bin");
+    const std::string direct_path = tempPath("snap_direct.bin");
+    for (const std::string &path : {staged_path, direct_path}) {
+        std::remove(path.c_str());
+        std::remove((path + ".prev").c_str());
+        std::remove((path + ".tmp").c_str());
+    }
+    const std::vector<std::uint8_t> image = sampleImage();
+
+    pu::SnapshotWriter direct;
+    writeSample(direct);
+    ASSERT_TRUE(direct.commitRotating(direct_path).ok());
+
+    pu::SnapshotWriter writer;
+    writeSample(writer);
+    pu::Expected<pu::StagedSnapshot> staged =
+        writer.stageRotating(staged_path);
+    ASSERT_TRUE(staged.ok()) << staged.error();
+    EXPECT_FALSE(fileExists(staged_path));
+    EXPECT_EQ(fileBytes(staged_path + ".tmp"), image);
+
+    const pu::Expected<void> published = staged.value().publish();
+    ASSERT_TRUE(published.ok()) << published.error();
+    EXPECT_FALSE(fileExists(staged_path + ".tmp"));
+    EXPECT_EQ(fileBytes(staged_path), image);
+    EXPECT_EQ(fileBytes(direct_path), image);
+    EXPECT_EQ(writer.finish(), image);
+    EXPECT_THROW((void)staged.value().publish(), pu::PanicError);
+
+    std::remove(staged_path.c_str());
+    std::remove(direct_path.c_str());
+}
+
+// A staged commit that is dropped unpublished takes its .tmp with it.
+// The rotation already happened, so .prev holds the old primary and
+// nothing is published in its place. A moved-from stage owns nothing.
+TEST(SnapshotFormat, DroppedStageRemovesTmp)
+{
+    const std::string path = tempPath("snap_dropped.bin");
+    const std::string prev = path + ".prev";
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+    std::remove((path + ".tmp").c_str());
+
+    pu::SnapshotWriter gen1;
+    gen1.beginChunk(kTag1);
+    gen1.u64(1);
+    gen1.endChunk();
+    ASSERT_TRUE(gen1.commitRotating(path).ok());
+
+    {
+        pu::SnapshotWriter gen2;
+        gen2.beginChunk(kTag1);
+        gen2.u64(2);
+        gen2.endChunk();
+        pu::Expected<pu::StagedSnapshot> staged = gen2.stageRotating(path);
+        ASSERT_TRUE(staged.ok()) << staged.error();
+        EXPECT_TRUE(fileExists(path + ".tmp"));
+        EXPECT_FALSE(fileExists(path));
+    }
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    EXPECT_FALSE(fileExists(path));
+    EXPECT_EQ(goodMarkerAt(prev), 1u);
+
+    // Moving a stage hands over the .tmp: dropping the moved-from
+    // object leaves it, and the new owner still publishes.
+    std::optional<pu::StagedSnapshot> owner;
+    {
+        pu::SnapshotWriter gen3;
+        gen3.beginChunk(kTag1);
+        gen3.u64(3);
+        gen3.endChunk();
+        pu::Expected<pu::StagedSnapshot> staged = gen3.stageRotating(path);
+        ASSERT_TRUE(staged.ok()) << staged.error();
+        owner.emplace(std::move(staged.value()));
+    }
+    EXPECT_TRUE(fileExists(path + ".tmp"));
+    ASSERT_TRUE(owner->publish().ok());
+    EXPECT_FALSE(fileExists(path + ".tmp"));
+    EXPECT_EQ(goodMarkerAt(path), 3u);
+    EXPECT_EQ(goodMarkerAt(prev), 1u);
+
+    std::remove(path.c_str());
+    std::remove(prev.c_str());
+}
+
 // A field that would run past its span panics before it is stored, in
 // every build type, so a miscounted record section cannot write past
 // the bytes it appended.
@@ -663,6 +778,59 @@ TEST(SnapshotFormat, InjectedCommitFailuresLeaveNoTmpAndKeepPrev)
         EXPECT_EQ(goodMarkerAt(prev), 1u) << point;
 
         // Reset for the next failure mode: republish gen1 as primary.
+        std::remove(path.c_str());
+        std::remove(prev.c_str());
+        pu::SnapshotWriter again;
+        again.beginChunk(kTag1);
+        again.u64(1);
+        again.endChunk();
+        ASSERT_TRUE(again.commitRotating(path).ok());
+    }
+
+    // Which stage each point fires in. The write faults fire in
+    // stageRotating(), the rename fault in publish(). A torn rename is
+    // decided at the stage, which writes half the image, but publish()
+    // renames it and only then reports it. Either way the failed
+    // commit leaves no .tmp, and .prev still reads.
+    struct Point
+    {
+        const char *name;
+        bool fires_in_stage;
+        bool stage_fails;
+    };
+    const Point points[] = {
+        {"snapshot.commit.enospc", true, true},
+        {"snapshot.commit.short_write", true, true},
+        {"snapshot.commit.torn_rename", true, false},
+        {"snapshot.commit.rename", false, false},
+    };
+    for (const Point &point : points) {
+        SCOPED_TRACE(point.name);
+        const pu::Expected<pu::fault::Schedule> schedule =
+            pu::fault::parseSchedule(std::string("seed=1;") + point.name +
+                                     ":max=1");
+        ASSERT_TRUE(schedule.ok()) << schedule.error();
+        pu::fault::arm(schedule.value());
+
+        pu::SnapshotWriter gen2;
+        gen2.beginChunk(kTag1);
+        gen2.u64(2);
+        gen2.endChunk();
+        pu::Expected<pu::StagedSnapshot> staged = gen2.stageRotating(path);
+        const std::uint64_t fired_at_stage = pu::fault::stats()[0].fires;
+        const bool published =
+            staged.ok() && staged.value().publish().ok();
+        const std::uint64_t fired = pu::fault::stats()[0].fires;
+        pu::fault::disarm();
+
+        EXPECT_EQ(fired_at_stage, point.fires_in_stage ? 1u : 0u);
+        EXPECT_EQ(fired, 1u);
+        EXPECT_EQ(staged.ok(), !point.stage_fails);
+        EXPECT_FALSE(published);
+        EXPECT_FALSE(fileExists(path + ".tmp"));
+        EXPECT_FALSE(markerAt(path).ok());
+        EXPECT_EQ(goodMarkerAt(prev), 1u);
+
         std::remove(path.c_str());
         std::remove(prev.c_str());
         pu::SnapshotWriter again;
@@ -1477,7 +1645,9 @@ TEST(SnapshotDevice, SpillArenaRestoreThenLateKeyAndWear)
     const pf::RouteSpec rx = straight.allocateRoute("x", 500.0);
     std::vector<std::shared_ptr<pf::Design>> designs;
     for (int i = 0; i < 5; ++i) {
-        auto d = std::make_shared<pf::Design>("d" + std::to_string(i));
+        std::string name = "d";
+        name += std::to_string(i);
+        auto d = std::make_shared<pf::Design>(name);
         if (i % 2 == 0) {
             d->setRouteValue(rx, true);
         } else {
