@@ -9,10 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -28,6 +32,7 @@
 #include "tdc/tdc.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 using namespace pentimento;
 
@@ -397,6 +402,78 @@ BM_ThreadPoolOverhead(benchmark::State &state)
     state.SetLabel(std::to_string(state.range(0) + 1) + " lanes");
 }
 BENCHMARK(BM_ThreadPoolOverhead)->Arg(0)->Arg(3);
+
+void
+BM_ThreadPoolWake(benchmark::State &state)
+{
+    // How fast parked helpers join a parallelFor. Each iteration
+    // parks the workers for ~3 ms (untimed), then runs 64 spin tasks
+    // of ~60 us; every task records its thread and start time.
+    // Counters: helper first-task latency from the loop's start
+    // (p50, p90, over every helper that ran) and helpers that ran at
+    // least one task per loop (of range(0)).
+    using Clock = std::chrono::steady_clock;
+    constexpr std::size_t kTasks = 64;
+    constexpr auto kSpin = std::chrono::microseconds(60);
+    const auto workers = static_cast<std::size_t>(state.range(0));
+    util::ThreadPool pool(workers);
+    std::vector<std::thread::id> ran_on(kTasks);
+    std::vector<double> start_us(kTasks);
+    std::vector<double> first_us;
+    std::size_t helpers_ran = 0;
+    std::size_t loops = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+        state.ResumeTiming();
+        const Clock::time_point t0 = Clock::now();
+        pool.parallelFor(0, kTasks, [&](std::size_t i) {
+            const Clock::time_point begin = Clock::now();
+            ran_on[i] = std::this_thread::get_id();
+            start_us[i] =
+                std::chrono::duration<double, std::micro>(begin - t0)
+                    .count();
+            while (Clock::now() - begin < kSpin) {
+            }
+        });
+        state.PauseTiming();
+        const std::thread::id caller = std::this_thread::get_id();
+        std::vector<std::pair<std::thread::id, double>> helpers;
+        for (std::size_t i = 0; i < kTasks; ++i) {
+            if (ran_on[i] == caller) {
+                continue;
+            }
+            const auto it = std::find_if(
+                helpers.begin(), helpers.end(),
+                [&](const auto &h) { return h.first == ran_on[i]; });
+            if (it == helpers.end()) {
+                helpers.emplace_back(ran_on[i], start_us[i]);
+            } else {
+                it->second = std::min(it->second, start_us[i]);
+            }
+        }
+        for (const auto &helper : helpers) {
+            first_us.push_back(helper.second);
+        }
+        helpers_ran += helpers.size();
+        ++loops;
+        state.ResumeTiming();
+    }
+    std::sort(first_us.begin(), first_us.end());
+    if (!first_us.empty()) {
+        state.counters["helper_first_p50_us"] =
+            util::percentileSorted(first_us, 0.5);
+        state.counters["helper_first_p90_us"] =
+            util::percentileSorted(first_us, 0.9);
+    }
+    state.counters["helpers_ran"] =
+        loops == 0 ? 0.0
+                   : static_cast<double>(helpers_ran) /
+                         static_cast<double>(loops);
+    state.SetLabel(std::to_string(workers) + " helpers, " +
+                   std::to_string(kTasks) + " x 60 us tasks");
+}
+BENCHMARK(BM_ThreadPoolWake)->Arg(3)->UseRealTime();
 
 void
 BM_FleetSimulationPhase(benchmark::State &state)

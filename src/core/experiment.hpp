@@ -293,10 +293,9 @@ ExperimentResult runExperiment3(const Experiment3Config &config);
  * board idle — and nobody measures anything until the very end, when
  * the last `observe_last` tenancies' routes are bound and read. The
  * run is a pure function of the config (every draw comes from `seed`),
- * so its outputs serve as regression goldens and as the eager-vs-lazy
- * equivalence fixture (the tests run it again with eager
- * materialisation and compare bitwise). The board is a default
- * fabric::DeviceConfig.
+ * so its outputs serve as regression goldens (GoldenRegression in
+ * regression_test pins every observed delay and both element counts
+ * bitwise). The board is a default fabric::DeviceConfig.
  */
 struct TenancyChurnConfig
 {

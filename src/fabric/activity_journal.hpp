@@ -2,7 +2,7 @@
  * @file
  * Per-design activity journal: deferred element materialisation.
  *
- * Eagerly materialising every element a tenant design configures —
+ * Materialising every element a tenant design configures at load —
  * variation sampling plus a slab insert per element, then a timeline
  * replay per activity flip — is the dominant cost of tenancy turnover
  * in fleet-scale campaigns, even though most configured elements are
@@ -13,9 +13,11 @@
  * first observation (a Route/Tdc bind, an element() read, a
  * service-wear sweep). Materialisation replays the recorded runs
  * against the device's AgingTimeline with the same per-segment /
- * pre-reduced arithmetic an eagerly materialised element would have
- * used at each flip, so aged delays are bit-identical — laziness is
- * unobservable except through materializedCount()-class diagnostics.
+ * pre-reduced arithmetic an element materialised at load would have
+ * used at each flip, so the time of first observation never changes
+ * an aged delay — laziness is unobservable except through
+ * materializedCount()-class diagnostics (journal_test and
+ * property_test's JournalInterleaving pin this bitwise).
  *
  * Layout: a flat open-addressing key table (the ElementSlab index
  * idiom — keys are never erased, linear probing, no tombstones) of
@@ -81,11 +83,12 @@ class ActivityJournal
      * timeline position `pos` on. Returns false (and records nothing)
      * when `activity` already equals the key's current journaled
      * activity — including the released/never-journaled case — so the
-     * caller can mirror the eager path's flip detection with a single
-     * probe per key. `pos` is the position the flip boundary WILL
-     * have once the caller closes the open segment (callers
+     * caller can mirror a materialised element's flip detection with
+     * a single probe per key. `pos` is the position the flip boundary
+     * WILL have once the caller closes the open segment (callers
      * anticipate it as position() + openPending(), then close iff any
-     * flip was recorded — exactly the eager close condition).
+     * flip was recorded — exactly a materialised flip's close
+     * condition).
      * Recording against a consumed (materialised) key is a caller
      * bug and fatals: its activity lives in the device's live arrays.
      *

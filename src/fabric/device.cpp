@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "fabric/eager_scope.hpp"
 #include "util/logging.hpp"
 #include "util/snapshot.hpp"
 
@@ -28,8 +27,7 @@ requireSpanHours(double hours, const char *who)
 } // namespace
 
 Device::Device(DeviceConfig config)
-    : config_(std::move(config)),
-      eager_(testing::EagerMaterialisationScope::active())
+    : config_(std::move(config))
 {
     if (config_.tiles_x == 0 || config_.tiles_y == 0 ||
         config_.nodes_per_tile == 0) {
@@ -177,7 +175,7 @@ Device::bindElement(ResourceId id)
         growDvthMemo();
         // First observation of a journal-deferred element: replay the
         // activity runs its tenancies recorded, leaving it exactly
-        // where eager materialisation would have after the last flip.
+        // where observation at load would have after the last flip.
         const std::vector<JournalRun> runs = journal_.consume(id.key());
         if (!runs.empty()) {
             replayJournalRuns(h, runs);
@@ -243,12 +241,13 @@ void
 Device::replayJournalRuns(ElementHandle h,
                           const std::vector<JournalRun> &runs)
 {
-    // Each run [from_i, from_i+1) is the span an eager element would
-    // have replayed at flip i+1, so both paths take the identical
-    // per-segment vs pre-reduced decisions and the aging state is
-    // bit-identical. The final run stays pending: live activity +
-    // synced position land exactly where the eager element stood
-    // after its last flip, and the next sync picks up the tail.
+    // Each run [from_i, from_i+1) is the span an element observed at
+    // load would have replayed at flip i+1, so the per-segment vs
+    // pre-reduced decisions, and with them the aging state, do not
+    // depend on when the element was first observed. The final run
+    // stays pending: live activity + synced position land exactly
+    // where that element stood after its last flip, and the next sync
+    // picks up the tail.
     RoutingElement &elem = slab_.sweepAt(h);
     for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
         replaySpan(elem, runs[i].activity, runs[i].from,
@@ -395,8 +394,8 @@ std::vector<ResourceId>
 Device::imprintedIds() const
 {
     // Materialised and journal-deferred keys are disjoint by the
-    // journal invariant, so a concatenate-and-sort yields the eager
-    // materialised set in its canonical (packed-key-sorted) order.
+    // journal invariant, so a concatenate-and-sort yields the fully
+    // observed set in its canonical (packed-key-sorted) order.
     std::vector<ResourceId> ids = slab_.sortedIds();
     const std::vector<std::uint64_t> deferred = journal_.activeKeys();
     ids.reserve(ids.size() + deferred.size());
@@ -434,10 +433,10 @@ Device::loadDesign(std::shared_ptr<const Design> design)
         // survive and neither the timeline nor the epoch moves.
         return;
     }
-    // applyDesignActivity resolves (and thereby materialises) every
-    // element the design configures, so aging accrues from the moment
-    // the design starts running — a victim's routes must burn in even
-    // if nothing ever reads their delay.
+    // applyDesignActivity flips every element the design configures
+    // (materialised ones in place, the rest as journal runs), so aging
+    // accrues from the moment the design starts running — a victim's
+    // routes must burn in even if nothing ever reads their delay.
     design_ = std::move(design);
     applyDesignActivity();
     // A real (re)configuration zeroes BRAM and lands the new design's
@@ -486,9 +485,7 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
 {
     // Resolution splits the configured keys into cohorts: elements
     // already in the slab resolve to handles, the rest stay packed
-    // keys for the journal. On the eager reference path every key is
-    // bound here instead (the pre-journal behaviour), so the deferred
-    // cohort is empty and nothing downstream ever journals.
+    // keys for the journal.
     *records_applied = false;
     for (const auto &entry : resolved_designs_) {
         if (entry == nullptr || entry->design != design_ ||
@@ -549,13 +546,6 @@ Device::resolveResidentDesign(std::uint32_t flip_pos,
     entry->activities.reserve(map.size());
     entry->deferred_order.reserve(map.size());
     for (const auto &[key, activity] : map) {
-        if (eager_) {
-            entry->activities.push_back(activity);
-            entry->handles.push_back(
-                bindElement(ResourceId::fromKey(key)));
-            entry->deferred_order.push_back(false);
-            continue;
-        }
         const ElementHandle h = slab_.findExclusive(key);
         if (h != kInvalidElement) {
             entry->activities.push_back(activity);
@@ -597,9 +587,10 @@ Device::applyDesignActivity()
     // Deferred-cohort flips are journaled in a single probe per key
     // at the position the boundary WILL have once the segment closes
     // (so: computed before anything closes); the close itself happens
-    // iff anything flipped — the identical condition and boundary the
-    // eager path produces, which is what keeps the compensated
-    // duration sums (and so every aged delay) bit-exact. With no
+    // iff anything flipped — the identical condition and boundary a
+    // materialised element's flip produces, which is what keeps the
+    // compensated duration sums (and so every aged delay) independent
+    // of the time of first observation. With no
     // design resident (wipe) every configured element is released.
     const std::uint32_t flip_pos =
         timeline_.position() + (timeline_.openPending() ? 1u : 0u);
@@ -762,8 +753,8 @@ Device::recordSpan(double dt_h, double die_temp_k, bool credit_elapsed)
     // records nothing: elements materialised later are pristine and
     // released, so the skipped spans are no-ops. Journaled keys are
     // NOT pristine — their deferred replay needs these segments — so
-    // the guard matches the eager path, where they would be in the
-    // slab already.)
+    // the guard records the same segments it would if they had been
+    // observed at load.)
     if (credit_elapsed) {
         elapsed_h_.add(dt_h);
     }
@@ -820,8 +811,8 @@ Device::applyServiceWear(double hours, double duty_one)
     }
     flushExternalTime();
     // Whole-fabric sweep: the deferred population must exist (and
-    // have replayed its journal) before the wear lands, exactly as
-    // the eager slab would.
+    // have replayed its journal) before the wear lands, exactly as if
+    // it had been observed at load.
     materializeJournal();
     timeline_.close();
     const double stress_eff_h =

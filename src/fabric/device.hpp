@@ -49,17 +49,18 @@
  * sampling, no slab insert, no replay — and the element materialises
  * only at first observation (bindElement), replaying its journal runs
  * against the timeline with exactly the per-segment / pre-reduced
- * arithmetic the eager path would have used at each flip. Aged delays
- * are bit-identical to eager materialisation (locked by journal_test
- * and the regression goldens); only materialisation diagnostics
- * (materializedCount, findElement before observation) can tell the
- * difference. Whole-tenancy turnover on never-measured boards is
- * thereby O(configured keys) of hash appends instead of
- * O(configured keys) of element construction + replay — and a board
- * is only charged for silicon someone actually looks at.
- * The eager path survives only as the reference the equivalence tests
- * compare against bitwise; nothing outside the tests can select it
- * (the test seam is read once, in the constructor — see device.cpp).
+ * arithmetic an element observed at load would have used at each
+ * flip. The contract: the time of first observation never changes an
+ * aged delay. journal_test and property_test's JournalInterleaving
+ * pin it bitwise by comparing a late-observed device with one whose
+ * resident design is observed after every load, mutation and advance
+ * (tests/observe_at_load.hpp); the regression goldens pin the values.
+ * Only materialisation diagnostics (materializedCount, findElement
+ * before observation) can tell the two apart. Whole-tenancy turnover
+ * on never-measured boards is thereby O(configured keys) of hash
+ * appends instead of O(configured keys) of element construction +
+ * replay — and a board is only charged for silicon someone actually
+ * looks at.
  */
 
 #ifndef PENTIMENTO_FABRIC_DEVICE_HPP
@@ -200,8 +201,7 @@ class Device
     std::size_t materializedCount() const { return slab_.size(); }
 
     /** Number of configured-but-unmaterialised (journal-deferred)
-     *  elements. Always 0 on a device built for the tests' eager
-     *  reference path, which materialises at design load. */
+     *  elements. 0 once every configured element has been observed. */
     std::size_t journaledKeyCount() const
     {
         return journal_.activeKeyCount();
@@ -301,7 +301,7 @@ class Device
      * Ids of every materialised element, sorted by packed key so the
      * listing is deterministic regardless of materialisation order.
      * Journal-deferred elements are not listed until first observed;
-     * after full observation the listing equals the eager set.
+     * after full observation the listing equals imprintedIds().
      */
     std::vector<ResourceId> materializedIds() const;
 
@@ -311,7 +311,7 @@ class Device
      * sorted by packed key. This is what a provider-side scrub must
      * drive — materializedIds() alone would miss elements whose
      * tenancies were never measured. Identical to materializedIds()
-     * on the tests' eager reference path.
+     * once every configured element has been observed.
      */
     std::vector<ResourceId> imprintedIds() const;
 
@@ -440,8 +440,8 @@ class Device
      * Pre-age the whole allocated fabric (used to model years of
      * anonymous prior service; complements the fresh-scale derating).
      * A whole-fabric observation: journal-deferred elements
-     * materialise first so the wear lands on the same population the
-     * eager path would have swept.
+     * materialise first so the wear lands on every imprinted element,
+     * however late each was first observed.
      */
     void applyServiceWear(double hours, double duty_one = 0.5);
 
@@ -521,8 +521,7 @@ class Device
     /**
      * A design's activity map split into cohorts: keys whose elements
      * are materialised resolve to dense handles; the rest stay packed
-     * keys destined for the journal (on the eager reference path the
-     * deferred cohort is always empty — resolution materialises).
+     * keys destined for the journal. Resolution never materialises.
      * Cached per (design identity, revision, slab size) so the
      * attack-phase measure/park alternation — the same two designs
      * swapped every sweep — never re-hashes a thousand resource keys
@@ -572,10 +571,10 @@ class Device
     /**
      * Apply closed segments [from, to) to one element under a fixed
      * activity — the shared replay chunk of replayHandle and journal
-     * materialisation. Chunk boundaries are flip/observation points
-     * in BOTH the eager and the lazy path, so the per-segment vs
-     * pre-reduced decision (and with it every rounding step) is
-     * identical whichever path runs.
+     * materialisation. Chunk boundaries are the element's flips and
+     * syncs, which do not depend on when it was first observed, so
+     * neither does the per-segment vs pre-reduced decision (and with
+     * it every rounding step).
      */
     void replaySpan(RoutingElement &elem,
                     const ElementActivity &activity, std::uint32_t from,
@@ -583,10 +582,10 @@ class Device
 
     /**
      * Fold a freshly materialised element's journal runs into its
-     * aging state. Leaves the element exactly where the eager path
-     * would have had it after the last recorded flip: live activity =
-     * final run, synced position = final run start, the tail pending
-     * for the next sync.
+     * aging state. Leaves the element exactly where an element
+     * observed since its first configuration would stand after the
+     * last recorded flip: live activity = final run, synced position
+     * = final run start, the tail pending for the next sync.
      */
     void replayJournalRuns(ElementHandle h,
                            const std::vector<JournalRun> &runs);
@@ -603,10 +602,6 @@ class Device
     void growDvthMemo();
 
     DeviceConfig config_;
-    /** Eager reference path: materialise every configured element at
-     *  design load instead of journaling it. Latched at construction
-     *  from the test-only seam; no production path sets it. */
-    bool eager_;
     double fresh_scale_;
     util::CompensatedSum elapsed_h_;
     std::uint64_t state_epoch_ = 0;

@@ -38,7 +38,6 @@
 #include "fabric/bram_block.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
-#include "fabric/eager_scope.hpp"
 #include "fabric/route.hpp"
 #include "mitigation/advisor.hpp"
 #include "serve/campaign.hpp"
@@ -46,6 +45,8 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
+
+#include "observe_at_load.hpp"
 
 namespace pcl = pentimento::cloud;
 namespace pco = pentimento::core;
@@ -342,17 +343,23 @@ namespace {
  * One rent→burn→release→pool→re-rent→measure lifecycle under
  * active_scrub. pool_hours = 0 reproduces the zero-elapsed re-rent
  * (released and re-acquired before the pool ever advances).
+ * `at_load` observes the resident design after every load, including
+ * the scrub design release() loads (observe_at_load.hpp).
  */
 double
-scrubLifecycleDelay(bool eager, double pool_hours, bool active_scrub)
+scrubLifecycleDelay(bool at_load, double pool_hours, bool active_scrub)
 {
     pcl::PlatformConfig config = pco::awsF1Region(31);
     config.fleet_size = 1;
     config.active_scrub = active_scrub;
-    const pf::testing::EagerMaterialisationScope scope(eager);
     pcl::CloudPlatform platform(config);
     const auto id = platform.rent();
     pf::Device &device = platform.instance(*id).device();
+    const auto settle = [&] {
+        if (at_load) {
+            pentimento::observe_at_load::observeResident(device);
+        }
+    };
     const pf::RouteSpec net = device.allocateRoute("net", 4000.0);
     auto victim = std::make_shared<pf::Design>("victim");
     victim->setRouteValue(net, true);
@@ -360,8 +367,10 @@ scrubLifecycleDelay(bool eager, double pool_hours, bool active_scrub)
         ADD_FAILURE() << "victim design failed DRC";
         return 0.0;
     }
+    settle();
     platform.advanceHours(50.0);
     platform.release(*id); // active_scrub loads the pooled scrub design
+    settle();
     if (pool_hours > 0.0) {
         platform.advanceHours(pool_hours);
     }
@@ -372,6 +381,7 @@ scrubLifecycleDelay(bool eager, double pool_hours, bool active_scrub)
         ADD_FAILURE() << "re-rent failed";
         return 0.0;
     }
+    settle();
     platform.advanceHours(1.0);
     pf::Route route = device.bindRoute(net);
     return route.delayPs(pp::Transition::Falling, 333.15);
@@ -392,14 +402,15 @@ TEST(ActiveScrubLifecycle, ZeroElapsedReRentAccruesNoScrubStress)
 TEST(ActiveScrubLifecycle, EagerAndLazyAgreeThroughPooledScrub)
 {
     // The pooled scrub design's activity runs live in the journal on
-    // the lazy path and as materialised flips on the eager path;
-    // rent()'s wipe must close them identically.
+    // the lazy side and as materialised flips on the side observed at
+    // every load (the "eager" side of the name); rent()'s wipe must
+    // close them identically.
     for (const double pool_hours : {0.0, 24.0}) {
         const double lazy =
             scrubLifecycleDelay(false, pool_hours, true);
-        const double eager =
+        const double at_load =
             scrubLifecycleDelay(true, pool_hours, true);
-        EXPECT_EQ(lazy, eager) << "pooled for " << pool_hours << " h";
+        EXPECT_EQ(lazy, at_load) << "pooled for " << pool_hours << " h";
     }
 }
 

@@ -10,13 +10,11 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
 #include "fabric/drc.hpp"
-#include "fabric/eager_scope.hpp"
 #include "fabric/resource.hpp"
 #include "fabric/route.hpp"
 #include "fabric/routing_element.hpp"
@@ -24,6 +22,7 @@
 #include "util/logging.hpp"
 
 #include "aging_at.hpp"
+#include "observe_at_load.hpp"
 
 namespace pa = pentimento::aging_at;
 namespace pf = pentimento::fabric;
@@ -562,20 +561,33 @@ TEST(DeviceLifecycle, LoadDesignDefersMaterialisationToObservation)
     EXPECT_EQ(device.journaledKeyCount(), 0u);
 }
 
-TEST(DeviceLifecycle, EagerConfigMaterializesAtLoad)
+TEST(DeviceLifecycle, ObservingAtLoadLeavesNothingJournaled)
 {
-    std::optional<pf::testing::EagerMaterialisationScope> eager;
-    eager.emplace();
+    // The equivalence tests' yardstick: observing the resident design
+    // right after each load materialises every configured element, so
+    // the journal holds nothing and every imprinted element exists.
     pf::Device device(smallConfig());
-    // The device latched the seam at construction; closing the scope
-    // must not turn it lazy.
-    eager.reset();
-    const pf::RouteSpec spec = device.allocateRoute("r", 500.0);
+    const pf::RouteSpec first = device.allocateRoute("r", 500.0);
+    const pf::RouteSpec second = device.allocateRoute("s", 300.0);
     auto design = std::make_shared<pf::Design>("d");
-    design->setRouteValue(spec, true);
+    design->setRouteValue(first, true);
     device.loadDesign(design);
-    EXPECT_EQ(device.materializedCount(), spec.size());
+    pentimento::observe_at_load::observeResident(device);
+    EXPECT_EQ(device.materializedCount(), first.size());
     EXPECT_EQ(device.journaledKeyCount(), 0u);
+    EXPECT_EQ(device.imprintedIds(), device.materializedIds());
+
+    // A replacement design over a new route and a wipe: still nothing
+    // owed to the journal.
+    auto next = std::make_shared<pf::Design>("e");
+    next->setRouteValue(first, false);
+    next->setRouteToggling(second, 0.5);
+    device.loadDesign(next);
+    pentimento::observe_at_load::observeResident(device);
+    device.wipe();
+    EXPECT_EQ(device.materializedCount(), first.size() + second.size());
+    EXPECT_EQ(device.journaledKeyCount(), 0u);
+    EXPECT_EQ(device.imprintedIds(), device.materializedIds());
 }
 
 TEST(DeviceLifecycle, NullDesignIsFatal)

@@ -4,18 +4,18 @@
  *
  * The journal defers element materialisation from design load to
  * first observation; these tests lock the property that makes that
- * deferral legal: *aged delays are bit-identical to eager
- * materialisation*, for every schedule shape the engine uses —
- * hourly stepping, single jumps, random dyadic partitions — across
+ * deferral legal: *the time of first observation never changes an
+ * aged delay*, for every schedule shape the engine uses — hourly
+ * stepping, single jumps, random dyadic partitions — across
  * mid-tenancy mitigation flips, design replacement without a wipe,
  * partial mid-tenancy observation, service wear, timeline compaction,
  * and the cloud instance's deferred idle walk (creditIdleHours).
- * Each scenario runs 2 x N ways (eager/lazy x schedules) and every
- * output double must be EQ, not NEAR.
+ * Each scenario runs 2 x N ways (observed at load or late x
+ * schedules, see observe_at_load.hpp) and every output double must
+ * be EQ, not NEAR.
  *
  * Bookkeeping locks ride along: what is journaled vs materialised at
- * each phase, imprintedIds as the union listing, and convergence of
- * materializedIds to the eager set after full observation.
+ * each phase, and imprintedIds as the union listing.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@
 #include "core/experiment.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
-#include "fabric/eager_scope.hpp"
+#include "observe_at_load.hpp"
 #include "util/rng.hpp"
 
 namespace pc = pentimento::core;
@@ -37,6 +37,7 @@ namespace pcl = pentimento::cloud;
 namespace pf = pentimento::fabric;
 namespace pp = pentimento::phys;
 namespace pu = pentimento::util;
+using pentimento::observe_at_load::observeResident;
 
 namespace {
 
@@ -50,13 +51,6 @@ tinyConfig()
     return config;
 }
 
-/** A tiny device on the eager reference path or the journaled one. */
-pf::Device
-tinyDevice(bool eager)
-{
-    const pf::testing::EagerMaterialisationScope scope(eager);
-    return pf::Device(tinyConfig());
-}
 
 /** Advance `hours` at a fixed die temperature, in schedule-shaped
  *  steps. */
@@ -98,12 +92,25 @@ dyadicStepper(std::uint64_t seed)
  * Two tenancies with a mid-tenancy mitigation flip, a design replace
  * without an intervening wipe, a partial mid-tenancy observation, a
  * service-wear sweep, and a full final observation. Returns every
- * observed double.
+ * observed double. `at_load` observes the resident design after
+ * every load and step (the yardstick of observe_at_load.hpp).
  */
 std::vector<double>
-runTenancyScenario(bool eager, const Stepper &step)
+runTenancyScenario(bool at_load, const Stepper &step)
 {
-    pf::Device device = tinyDevice(eager);
+    pf::Device device(tinyConfig());
+    const auto load = [&](std::shared_ptr<const pf::Design> design) {
+        device.loadDesign(std::move(design));
+        if (at_load) {
+            observeResident(device);
+        }
+    };
+    const auto advance = [&](double hours, double temp_k) {
+        step(device, hours, temp_k);
+        if (at_load) {
+            observeResident(device);
+        }
+    };
     const pf::RouteSpec route_a = device.allocateRoute("a", 600.0);
     const pf::RouteSpec route_b = device.allocateRoute("b", 400.0);
     const pf::RouteSpec route_c = device.allocateRoute("c", 500.0);
@@ -112,31 +119,31 @@ runTenancyScenario(bool eager, const Stepper &step)
     auto design1 = std::make_shared<pf::Design>("t1");
     design1->setRouteValue(route_a, true);
     design1->setRouteToggling(route_b, 0.3);
-    device.loadDesign(design1);
-    step(device, 37.0, 348.15);
+    load(design1);
+    advance(37.0, 348.15);
     // Mid-tenancy mitigation flip: rotate the burn value in place and
     // re-load the (mutated) resident design.
     design1->setRouteValue(route_a, false);
-    device.loadDesign(design1);
-    step(device, 20.0, 348.15);
+    load(design1);
+    advance(20.0, 348.15);
     // Replace without wipe: b's release and c's configuration are one
     // boundary; a keeps its value across the replace (no flip).
     auto design2 = std::make_shared<pf::Design>("t2");
     design2->setRouteValue(route_a, false);
     design2->setRouteValue(route_c, true);
-    device.loadDesign(design2);
-    step(device, 12.0, 351.4);
+    load(design2);
+    advance(12.0, 351.4);
     // Partial observation mid-tenancy: c materialises (consuming its
     // journal) while a and b stay deferred in the lazy run.
     pf::Route bound_c = device.bindRoute(route_c);
     std::vector<double> out;
     out.push_back(bound_c.delayPs(pp::Transition::Rising, 333.15));
-    step(device, 9.0, 351.4);
+    advance(9.0, 351.4);
     device.wipe();
-    step(device, 16.0, 330.0);
+    advance(16.0, 330.0);
     // Whole-fabric wear: lazily deferred elements must join the sweep.
     device.applyServiceWear(5.0, 0.25);
-    step(device, 3.0, 330.0);
+    advance(3.0, 330.0);
 
     for (const pf::RouteSpec *spec : {&route_a, &route_b, &route_c}) {
         pf::Route route = device.bindRoute(*spec);
@@ -160,31 +167,11 @@ TEST(JournalEquivalence, TenancyScenarioBitIdenticalAcrossSchedules)
     for (const std::uint64_t seed : {31u, 32u, 33u}) {
         EXPECT_EQ(reference,
                   runTenancyScenario(true, dyadicStepper(seed)))
-            << "eager dyadic seed " << seed;
+            << "at-load dyadic seed " << seed;
         EXPECT_EQ(reference,
                   runTenancyScenario(false, dyadicStepper(seed)))
-            << "lazy dyadic seed " << seed;
+            << "late dyadic seed " << seed;
     }
-}
-
-TEST(JournalEquivalence, TenancyChurnScenarioMatchesEagerBitwise)
-{
-    // The shared churn fixture (mid-tenancy mitigation flips, fresh
-    // routes per tenancy, observation of the last two tenancies only)
-    // must not see the journal either.
-    const pc::TenancyChurnResult a =
-        pc::runTenancyChurn(pc::TenancyChurnConfig{});
-    const pc::TenancyChurnResult b = [] {
-        const pf::testing::EagerMaterialisationScope eager;
-        return pc::runTenancyChurn(pc::TenancyChurnConfig{});
-    }();
-    EXPECT_EQ(a.observed_delays_ps, b.observed_delays_ps);
-    EXPECT_EQ(a.elapsed_h, b.elapsed_h);
-    // Only the observed tenancies' elements materialised in the lazy
-    // run; the eager run paid for every tenancy ever.
-    EXPECT_LT(a.materialized, b.materialized);
-    EXPECT_EQ(a.materialized + a.journaled, b.materialized);
-    EXPECT_EQ(b.journaled, 0u);
 }
 
 TEST(JournalEquivalence, CompactionRebaseKeepsDeferredReplayExact)
@@ -194,18 +181,25 @@ TEST(JournalEquivalence, CompactionRebaseKeepsDeferredReplayExact)
     // configured late (in place, mid-run) journals its first run deep
     // into the segment list, so later compactions drop a consumed
     // prefix and must rebase the deferred positions — and the late
-    // replay must still be bit-identical to eager.
-    const auto run = [](bool eager) {
-        pf::Device device = tinyDevice(eager);
+    // replay must still be bit-identical to observation at load.
+    const auto run = [](bool at_load) {
+        pf::Device device(tinyConfig());
+        const auto settle = [&] {
+            if (at_load) {
+                observeResident(device);
+            }
+        };
         const pf::RouteSpec pinned = device.allocateRoute("p", 500.0);
         const pf::RouteSpec watched = device.allocateRoute("w", 500.0);
         auto design = std::make_shared<pf::Design>("d");
         design->setRouteValue(watched, false);
         device.loadDesign(design);
+        settle();
         pf::Route bound = device.bindRoute(watched);
         std::vector<double> out;
         for (int seg = 0; seg < 100; ++seg) {
             device.advanceAt(1.0, 330.0 + 0.01 * seg);
+            settle();
             if (seg % 10 == 0) {
                 out.push_back(
                     bound.delayPs(pp::Transition::Falling, 333.15));
@@ -214,8 +208,10 @@ TEST(JournalEquivalence, CompactionRebaseKeepsDeferredReplayExact)
         // Late in-place configuration: the journal run starts ~100
         // segments in (folded at the next recorded span).
         design->setRouteValue(pinned, true);
+        settle();
         for (int seg = 0; seg < 120; ++seg) {
             device.advanceAt(1.0, 340.0 + 0.01 * seg);
+            settle();
             if (seg % 10 == 0) {
                 out.push_back(
                     bound.delayPs(pp::Transition::Falling, 333.15));
@@ -352,13 +348,12 @@ TEST(JournalLaziness, MaterialisedDesignLoadDoesNotGrowTheTable)
  * Idle (deferred ambient walk) -> tenancy (journal) -> idle -> late
  * observation. The two laziness layers — creditIdleHours at the
  * instance, the activity journal at the device — must compose without
- * perturbing a bit relative to an eager-materialising instance.
+ * perturbing a bit relative to an instance observed at load.
  */
 std::vector<double>
-runCloudScenario(bool eager)
+runCloudScenario(bool at_load)
 {
     pcl::AmbientParams ambient;
-    const pf::testing::EagerMaterialisationScope scope(eager);
     pcl::FpgaInstance inst("fpga-jx", tinyConfig(), ambient,
                            pu::Rng(909));
     pf::Device &device = inst.device();
@@ -368,7 +363,10 @@ runCloudScenario(bool eager)
     design->setRouteValue(spec, true);
     design->setPowerW(20.0);
     device.loadDesign(design);
-    inst.advanceHours(24.0); // computing (eager walk)
+    if (at_load) {
+        observeResident(device);
+    }
+    inst.advanceHours(24.0); // computing (stepped walk)
     device.wipe();
     inst.advanceHours(72.0); // pooled again
     pf::Route route = device.bindRoute(spec);

@@ -23,7 +23,6 @@
 #include "core/presets.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
-#include "fabric/eager_scope.hpp"
 #include "phys/aging.hpp"
 #include "phys/thermal.hpp"
 #include "tdc/tdc.hpp"
@@ -32,6 +31,7 @@
 #include "util/stats.hpp"
 
 #include "aging_at.hpp"
+#include "observe_at_load.hpp"
 
 namespace pa = pentimento::aging_at;
 namespace pc = pentimento::core;
@@ -538,29 +538,32 @@ class JournalInterleaving
     : public ::testing::TestWithParam<std::uint64_t>
 {
   protected:
-    /** A tiny device on the eager reference path or the journaled
-     *  one. */
+    /** A tiny default device. */
     static pf::Device
-    makeDevice(bool eager)
+    makeDevice()
     {
         pf::DeviceConfig config;
         config.tiles_x = 8;
         config.tiles_y = 8;
         config.nodes_per_tile = 32;
-        const pf::testing::EagerMaterialisationScope scope(eager);
         return pf::Device(config);
     }
 
     /**
      * Drive a device through a random-but-reproducible tenancy
      * interleaving: design loads over random route subsets, wipes,
-     * in-place mutations of the resident design, and irregular
-     * advances at random temperatures. The op sequence is a pure
-     * function of the seed, so an eager and a lazy device fed the
-     * same seed experience identical physical histories.
+     * in-place mutations of the resident design, irregular advances
+     * at random temperatures, and every 17 steps a partial
+     * observation of one route (its delays land in `seen`). The op
+     * sequence is a pure function of the seed, so two devices fed
+     * the same seed experience identical physical histories.
+     * `at_load` also observes the resident design after every op
+     * (the yardstick of observe_at_load.hpp); without it, a route
+     * is first read whenever the drive or the test gets to it.
      */
     static std::vector<pf::RouteSpec>
-    drive(pf::Device &device, std::uint64_t seed)
+    drive(pf::Device &device, std::uint64_t seed, bool at_load,
+          std::vector<double> &seen)
     {
         pu::Rng rng(seed);
         std::vector<pf::RouteSpec> routes;
@@ -570,6 +573,14 @@ class JournalInterleaving
         }
         std::shared_ptr<pf::Design> resident;
         for (int step = 0; step < 60; ++step) {
+            if (step % 17 == 16) {
+                const pf::RouteSpec &spec =
+                    routes[static_cast<std::size_t>(step / 17) %
+                           routes.size()];
+                for (const double d : observe(device, spec)) {
+                    seen.push_back(d);
+                }
+            }
             const auto action =
                 static_cast<int>(rng.uniformInt(0, 3));
             if (action == 0) {
@@ -611,6 +622,9 @@ class JournalInterleaving
                     static_cast<double>(rng.uniformInt(0, 40));
                 device.advanceAt(dt, temp);
             }
+            if (at_load) {
+                pentimento::observe_at_load::observeResident(device);
+            }
         }
         return routes;
     }
@@ -624,36 +638,34 @@ class JournalInterleaving
     }
 };
 
-TEST_P(JournalInterleaving, FullObservationConvergesToEagerSet)
+TEST_P(JournalInterleaving, LateObservationMatchesObservationAtLoad)
 {
-    pf::Device eager = makeDevice(true);
-    pf::Device lazy = makeDevice(false);
-    const std::vector<pf::RouteSpec> routes_e =
-        drive(eager, GetParam());
+    pf::Device at_load = makeDevice();
+    pf::Device late = makeDevice();
+    // Mid-drive reads come first in each series, so the late side
+    // mixes journaled and materialised elements from then on.
+    std::vector<double> delays_a;
+    std::vector<double> delays_l;
+    const std::vector<pf::RouteSpec> routes_a =
+        drive(at_load, GetParam(), true, delays_a);
     const std::vector<pf::RouteSpec> routes_l =
-        drive(lazy, GetParam());
+        drive(late, GetParam(), false, delays_l);
+    EXPECT_EQ(at_load.journaledKeyCount(), 0u);
 
     // Full observation: bind and read every pool route on both.
-    std::vector<double> delays_e;
-    std::vector<double> delays_l;
-    for (std::size_t r = 0; r < routes_e.size(); ++r) {
-        for (const double d : observe(eager, routes_e[r])) {
-            delays_e.push_back(d);
+    for (std::size_t r = 0; r < routes_a.size(); ++r) {
+        for (const double d : observe(at_load, routes_a[r])) {
+            delays_a.push_back(d);
         }
-        for (const double d : observe(lazy, routes_l[r])) {
+        for (const double d : observe(late, routes_l[r])) {
             delays_l.push_back(d);
         }
     }
-    EXPECT_EQ(delays_e, delays_l);
-    EXPECT_EQ(lazy.journaledKeyCount(), 0u);
+    EXPECT_EQ(delays_a, delays_l);
+    EXPECT_EQ(late.journaledKeyCount(), 0u);
 
     // The materialised populations converge to the same sorted set.
-    const std::vector<pf::ResourceId> ids_e = eager.materializedIds();
-    const std::vector<pf::ResourceId> ids_l = lazy.materializedIds();
-    ASSERT_EQ(ids_e.size(), ids_l.size());
-    for (std::size_t i = 0; i < ids_e.size(); ++i) {
-        EXPECT_EQ(ids_e[i].key(), ids_l[i].key());
-    }
+    EXPECT_EQ(at_load.materializedIds(), late.materializedIds());
 }
 
 TEST_P(JournalInterleaving, ObservationOrderNeverChangesAnyDelay)
@@ -662,9 +674,10 @@ TEST_P(JournalInterleaving, ObservationOrderNeverChangesAnyDelay)
     // in different seeded shuffle orders; each route's delays must be
     // bit-identical however late (or early) its journal is consumed.
     const auto runWithOrder = [&](std::uint64_t shuffle_seed) {
-        pf::Device device = makeDevice(false);
+        pf::Device device = makeDevice();
+        std::vector<double> seen;
         const std::vector<pf::RouteSpec> routes =
-            drive(device, GetParam());
+            drive(device, GetParam(), false, seen);
         std::vector<std::size_t> order(routes.size());
         for (std::size_t i = 0; i < order.size(); ++i) {
             order[i] = i;
@@ -680,6 +693,7 @@ TEST_P(JournalInterleaving, ObservationOrderNeverChangesAnyDelay)
         for (const std::size_t r : order) {
             per_route[r] = observe(device, routes[r]);
         }
+        per_route.push_back(seen);
         return per_route;
     };
     const auto reference = runWithOrder(0);
@@ -690,4 +704,6 @@ TEST_P(JournalInterleaving, ObservationOrderNeverChangesAnyDelay)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalInterleaving,
-                         ::testing::Values(5u, 29u, 4242u));
+                         ::testing::Values(5u, 29u, 4242u, 1u, 2u, 3u,
+                                           7u, 11u, 13u, 17u, 19u, 23u,
+                                           31u, 97u, 1009u, 65537u));

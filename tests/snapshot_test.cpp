@@ -33,7 +33,6 @@
 #include "fabric/activity_journal.hpp"
 #include "fabric/design.hpp"
 #include "fabric/device.hpp"
-#include "fabric/eager_scope.hpp"
 #include "fabric/route.hpp"
 #include "serve/campaign.hpp"
 #include "util/expected.hpp"
@@ -41,6 +40,8 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
+
+#include "observe_at_load.hpp"
 
 namespace pc = pentimento::cloud;
 namespace pf = pentimento::fabric;
@@ -1145,11 +1146,12 @@ TEST(SnapshotDevice, ConfigFingerprintSkewRejected)
     }
 }
 
-// The fingerprint carries no materialisation mode, so an image saved
-// from a device on the tests' eager reference path restores into a
-// default device. Materialisation never moves the physics: every later
-// observed delay must equal the straight lazy run's.
-TEST(SnapshotDevice, EagerReferenceImageRestoresIntoDefaultDevice)
+// An image saved from a device observed at every load (every
+// configured element materialised, nothing journaled) restores into a
+// default device. The time of first observation never moves the
+// physics: every later observed delay must equal the straight lazy
+// run's.
+TEST(SnapshotDevice, FullyObservedImageRestoresIntoDefaultDevice)
 {
     const auto secondTenant = [](const std::vector<pf::RouteSpec> &r) {
         auto design = std::make_shared<pf::Design>("t2");
@@ -1158,40 +1160,44 @@ TEST(SnapshotDevice, EagerReferenceImageRestoresIntoDefaultDevice)
         return design;
     };
     // Two tenancies, the second still resident with its segment open.
-    const auto tenancies = [&](pf::Device &device) {
+    // `at_load` observes each design the moment it is loaded.
+    const auto tenancies = [&](pf::Device &device, bool at_load) {
         const std::vector<pf::RouteSpec> routes = {
             device.allocateRoute("a", 600.0),
             device.allocateRoute("b", 400.0),
             device.allocateRoute("c", 500.0)};
+        const auto load = [&](std::shared_ptr<const pf::Design> design) {
+            device.loadDesign(std::move(design));
+            if (at_load) {
+                pentimento::observe_at_load::observeResident(device);
+            }
+        };
         auto first = std::make_shared<pf::Design>("t1");
         first->setRouteValue(routes[0], true);
         first->setRouteToggling(routes[1], 0.3);
-        device.loadDesign(first);
+        load(first);
         device.advanceAt(37.0, 348.15);
         device.wipe();
         device.advanceAt(20.0, 320.0);
-        device.loadDesign(secondTenant(routes));
+        load(secondTenant(routes));
         device.advanceAt(11.5, 351.0);
         return routes;
     };
     pf::Device lazy(tinyConfig(83));
-    pf::Device eager = [] {
-        const pf::testing::EagerMaterialisationScope scope;
-        return pf::Device(tinyConfig(83));
-    }();
-    const std::vector<pf::RouteSpec> routes = tenancies(lazy);
-    (void)tenancies(eager);
+    pf::Device observed(tinyConfig(83));
+    const std::vector<pf::RouteSpec> routes = tenancies(lazy, false);
+    (void)tenancies(observed, true);
     ASSERT_EQ(lazy.materializedCount(), 0u);
-    ASSERT_EQ(eager.journaledKeyCount(), 0u);
-    ASSERT_GT(eager.materializedCount(), 0u);
+    ASSERT_EQ(observed.journaledKeyCount(), 0u);
+    ASSERT_GT(observed.materializedCount(), 0u);
 
     pf::Device restored(tinyConfig(83));
     bool had_design = false;
-    const pu::Expected<void> result =
-        restoreDeviceImage(saveDeviceImage(eager), restored, &had_design);
+    const pu::Expected<void> result = restoreDeviceImage(
+        saveDeviceImage(observed), restored, &had_design);
     ASSERT_TRUE(result.ok()) << result.error();
     EXPECT_TRUE(had_design);
-    EXPECT_EQ(restored.materializedCount(), eager.materializedCount());
+    EXPECT_EQ(restored.materializedCount(), observed.materializedCount());
 
     // Re-load the resident design (draw-neutral on the straight run),
     // then a third tenancy whose new route the restored default
